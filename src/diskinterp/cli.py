@@ -10,16 +10,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
-from .density import estimate_upper_densities
+from .density import default_density_report
 from .dbar import cauchy_transform, dbar_residual
 from .errors import (
     DiameterOverflow,
-    DiskInterpError,
     DuplicatePoint,
     EmptyGrid,
     GridTooCoarse,
@@ -218,11 +217,7 @@ def _cmd_scheme(cfg: JobConfig, doc: dict) -> dict:
 
 def _cmd_density(cfg: JobConfig, doc: dict) -> dict:
     Z, _ = parse_sequence(doc)
-    centers = [0j]
-    for z in Z:
-        if all(z != c for c in centers):
-            centers.append(complex(z))
-    rep = estimate_upper_densities(Z, cfg.radii, centers)
+    rep = default_density_report(Z, cfg.radii)
     return {
         "radii": list(rep.radii),
         "centers": [_pair(c) for c in rep.mobius_centers],

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry as geo
 from .errors import EmptyGrid, GridTooCoarse
 from .geometry import PseudoDisk, as_complex, pseudo_to_euclidean
+from .reps import rep_as_callable
 from .schemes import PointSequence
 
 
@@ -120,16 +120,6 @@ def default_density_report(Z: PointSequence, radii=(0.9, 0.95, 0.99)) -> Density
     return estimate_upper_densities(Z, radii, centers)
 
 
-def _as_callable(f):
-    """Accept a plain callable or anything exposing .as_callable() (grid
-    functions); return a vectorized complex-valued function of z."""
-    if callable(f):
-        return f
-    if hasattr(f, "as_callable"):
-        return f.as_callable()
-    raise TypeError(f"cannot evaluate object of type {type(f)!r} on the disk")
-
-
 def local_mean(f, z, q, r: float, grid: tuple[int, int] = (64, 64)) -> float:
     """q-mean of |f| over the pseudohyperbolic disk D(z, r).
 
@@ -142,7 +132,7 @@ def local_mean(f, z, q, r: float, grid: tuple[int, int] = (64, 64)) -> float:
     if hasattr(f, "nodes_in_euclidean_disk"):
         if f.nodes_in_euclidean_disk(disk.center, disk.radius) < 16:
             raise GridTooCoarse("fewer than 16 grid nodes in the local-mean disk")
-    fun = _as_callable(f)
+    fun = rep_as_callable(f)
     n_r, n_t = grid
     rr = (np.arange(n_r) + 0.5) * disk.radius / n_r
     tt = 2.0 * np.pi * np.arange(n_t) / n_t

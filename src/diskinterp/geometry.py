@@ -179,9 +179,3 @@ def hyperbolic_midpoint(a, b) -> complex:
     w = moebius(av, bv)
     return moebius(av, t * w / abs(w))
 
-
-def disk_boundary_samples(d: PseudoDisk, n: int = 64) -> np.ndarray:
-    """n points on the (Euclidean = pseudohyperbolic) boundary circle of d."""
-    e = pseudo_to_euclidean(d)
-    ang = 2.0 * np.pi * np.arange(n) / n
-    return e.center + e.radius * np.exp(1j * ang)

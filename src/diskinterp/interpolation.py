@@ -11,7 +11,7 @@ interpolation machinery with its Blaschke product bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, factorial
+from math import factorial
 
 import numpy as np
 from scipy.optimize import minimize
@@ -35,7 +35,7 @@ from .reps import (
     bergman_kernel_deriv,
     rep_as_callable,
 )
-from .schemes import Domain, InterpolationScheme, PointSequence
+from .schemes import InterpolationScheme, PointSequence
 
 GRAM_CONDITION_LIMIT = 1e12
 

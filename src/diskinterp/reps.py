@@ -13,8 +13,6 @@ from math import comb, factorial
 
 import numpy as np
 
-from .geometry import as_complex
-
 
 def bergman_kernel_deriv(z, w, m: int, n: int, center: complex = 0.0, s: float = 1.0):
     """Mixed derivative d_z^m d_wbar^n of the Bergman kernel of a Euclidean

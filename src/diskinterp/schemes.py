@@ -10,18 +10,16 @@ around the points, found by union-find on the ball-intersection graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import geometry as geo
 from .errors import DiameterOverflow, NoValidEpsilon
-from .geometry import PseudoDisk, as_complex, hyp_sum, psi, psi_matrix
+from .geometry import PseudoDisk, as_complex, hyp_sum, psi_matrix
 
 # Components whose diameter reaches this value are rejected outright.
 DIAMETER_CAP = 1.0 - 1e-9
-
-BOUNDARY_SAMPLES_PER_BALL = 64
 
 
 class PointSequence:
@@ -91,32 +89,24 @@ class Domain:
     def radius(self) -> float:
         return self.balls[0].radius
 
+    @property
+    def radii(self) -> np.ndarray:
+        return np.array([b.radius for b in self.balls])
+
     def contains(self, z) -> bool:
         return any(b.contains(z) for b in self.balls)
 
-    def boundary_samples(self, n: int = BOUNDARY_SAMPLES_PER_BALL) -> np.ndarray:
-        """Samples of the boundary of the union (per-ball circles, points
-        interior to another ball dropped)."""
-        pts = np.concatenate([geo.disk_boundary_samples(b, n) for b in self.balls])
-        if len(self.balls) == 1:
-            return pts
-        keep = np.ones(len(pts), dtype=bool)
-        for k, b in enumerate(self.balls):
-            d = np.abs((pts - b.center) / (1.0 - np.conj(b.center) * pts))
-            own = slice(k * n, (k + 1) * n)
-            inside = d < b.radius * (1.0 - 1e-12)
-            inside[own] = False
-            keep &= ~inside
-        if not keep.any():
-            return pts
-        return pts[keep]
+    def diameter(self) -> float:
+        """Exact pseudohyperbolic diameter (a supremum) of the union.
 
-    def diameter(self, n: int = BOUNDARY_SAMPLES_PER_BALL) -> float:
-        """Pseudohyperbolic diameter via boundary sampling (exact up to the
-        angular resolution; the diameter of a union of disks is attained
-        between boundary points)."""
-        pts = self.boundary_samples(n)
-        return float(psi_matrix(pts, pts).max())
+        psi is tanh of an additive geodesic distance, so points of the balls
+        about c_i and c_j reach hyp_sum(psi(c_i, c_j), hyp_sum(r_i, r_j))
+        apart and no further; i = j gives the diameter of one ball.
+        """
+        r = self.radii
+        s = (r[:, None] + r[None, :]) / (1.0 + r[:, None] * r[None, :])
+        d = psi_matrix(self.centers, self.centers)
+        return float(((d + s) / (1.0 + d * s)).max())
 
 
 @dataclass(frozen=True)
@@ -263,7 +253,7 @@ def build_maximal_scheme(Z: PointSequence, eps: float) -> InterpolationScheme:
         if radius >= DIAMETER_CAP:
             raise DiameterOverflow(f"maximal-domain radius {radius} >= {DIAMETER_CAP}")
         dom = Domain((PseudoDisk(pts[best], radius),))
-        max_diam = max(max_diam, hyp_sum(radius, radius))
+        max_diam = max(max_diam, dom.diameter())
         domains.append(dom)
     return InterpolationScheme(
         sequence=Z,
@@ -373,12 +363,15 @@ def check_admissibility(s: InterpolationScheme) -> AdmissibilityReport:
     declared constants.  Failures are reported, never raised."""
     tol = 1e-9
     meas_R = max(d.diameter() for d in s.domains)
-    # inner radius: min over cluster points of psi-distance to the domain boundary
+    # inner radius: a cluster point at psi-distance t from the centre of a
+    # ball of radius r sees (r - t)/(1 - r t) of room to that ball's edge.
+    # The best ball per point, least over points, is a lower bound: exact
+    # on one-ball domains, <= 0 if a point lies outside its domain.
     meas_eps = np.inf
     for k, d in enumerate(s.domains):
-        bdry = d.boundary_samples()
-        pts = s.cluster_points(k)
-        meas_eps = min(meas_eps, float(psi_matrix(pts, bdry).min()))
+        t = psi_matrix(s.cluster_points(k), d.centers)
+        room = (d.radii - t) / (1.0 - d.radii * t)
+        meas_eps = min(meas_eps, float(room.max(axis=1).min()))
     meas_delta = _measured_separation(s.sequence, s.clusters)
     meas_B = max(len(c) for c in s.clusters)
     dens = bounded_density(s.sequence, min(max(meas_R, 1e-3), 0.999))

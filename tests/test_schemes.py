@@ -2,9 +2,18 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diskinterp.errors import DiameterOverflow, NoValidEpsilon
-from diskinterp.geometry import PseudoDisk, hyp_sum, moebius, psi
+from diskinterp.geometry import (
+    PseudoDisk,
+    hyp_sum,
+    moebius,
+    pseudo_to_euclidean,
+    psi,
+    psi_matrix,
+)
 from diskinterp.schemes import (
     Cluster,
     Domain,
@@ -94,6 +103,33 @@ def test_maximal_scheme_single_ball_radius():
     assert ball.center == 0.0
 
 
+# Samples at angular step h miss a circle's extreme points by O(h^2); with
+# 256 per circle the shortfall stays below this on the balls drawn below.
+CIRCLE_SAMPLES = 256
+DIAMETER_SAMPLING_TOL = 1e-4
+
+ball_specs = st.tuples(
+    st.floats(0.0, 0.8), st.floats(0.0, 2.0 * np.pi), st.floats(0.01, 0.7)
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(ball_specs, min_size=1, max_size=5))
+def test_diameter_against_boundary_samples(specs):
+    balls = tuple(PseudoDisk(m * np.exp(1j * a), r) for m, a, r in specs)
+    ang = 2.0 * np.pi * np.arange(CIRCLE_SAMPLES) / CIRCLE_SAMPLES
+    circles = []
+    for b in balls:
+        e = pseudo_to_euclidean(b)
+        circles.append(e.center + e.radius * np.exp(1j * ang))
+    sampled = max(
+        psi_matrix(p, q).max()
+        for p, q in itertools.combinations_with_replacement(circles, 2)
+    )
+    diam = Domain(balls).diameter()
+    assert sampled - 1e-12 <= diam <= sampled + DIAMETER_SAMPLING_TOL
+
+
 def test_diameter_overflow():
     with pytest.raises(DiameterOverflow):
         build_maximal_scheme(PointSequence([-0.99, 0.99]), 0.9999)
@@ -172,6 +208,23 @@ def test_admissibility_p3_failure():
     rep = check_admissibility(s)
     assert not rep.p3_ok
     assert not rep.all_ok
+
+
+def test_admissibility_p2_failure_point_outside_domain():
+    # 0.8 lies at psi-distance 0.5 from the ball about 0.5, outside its domain
+    seq = PointSequence([0.0, 0.8])
+    s = InterpolationScheme(
+        sequence=seq,
+        clusters=(Cluster((0,)), Cluster((1,))),
+        domains=(Domain((PseudoDisk(0.0, 0.05),)), Domain((PseudoDisk(0.5, 0.05),))),
+        diameter=0.1,
+        inner_radius=0.05,
+        separation=0.8,
+        cluster_bound=1,
+    )
+    rep = check_admissibility(s)
+    assert not rep.p2_ok
+    assert rep.measured_inner_radius == pytest.approx((0.05 - 0.5) / (1.0 - 0.025))
 
 
 def test_admissibility_p4_failure():
