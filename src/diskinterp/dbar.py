@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_genlaguerre
 
 from .density import k_weight_many, local_mean
 from .errors import (
@@ -76,6 +75,8 @@ def invariant_laplacian(f, z, h: float = 1e-4):
 def _log_kernel_radial(r_star: float, n_radial: int):
     """Nodes/weights for int_0^{r*} g(t) log(r*^2/t^2) (1-t^2)^(-2) t dt via
     t = r* exp(-y/2) and generalized Gauss-Laguerre (weight y e^-y)."""
+    from scipy.special import roots_genlaguerre
+
     y, wy = roots_genlaguerre(n_radial, 1.0)
     t = r_star * np.exp(-0.5 * y)
     w = 0.5 * r_star ** 2 * wy / (1.0 - r_star ** 2 * np.exp(-y)) ** 2

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import geometry as geo
 from .errors import (
@@ -38,6 +37,10 @@ from .reps import (
 from .schemes import InterpolationScheme, PointSequence
 
 GRAM_CONDITION_LIMIT = 1e12
+# Newton steps quotient_norm_general may take before it raises NonConvergence.
+NEWTON_MAX_ITER = 60
+# Quadrature nodes per block when assembling a Gram matrix or a Newton system.
+_NODE_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -184,13 +187,84 @@ def domain_quadrature(domain, n_radial: int = 64, n_angular: int = 256):
     return np.concatenate(all_nodes), np.concatenate(all_weights)
 
 
-def _constraint_matrix(constraints, center, basis_size):
+def _constraint_matrix(constraints, center, s, basis_size):
+    """The constraint functionals on the scaled monomials ((z - center)/s)^k."""
     C = np.zeros((len(constraints), basis_size), dtype=complex)
     for i, c in enumerate(constraints):
-        u = c.point - center
+        v = (c.point - center) / s
         for k in range(c.order, basis_size):
-            C[i, k] = factorial(k) // factorial(k - c.order) * u ** (k - c.order)
+            falling = factorial(k) // factorial(k - c.order)
+            C[i, k] = falling * v ** (k - c.order) / s ** c.order
     return C
+
+
+def _orthonormalizer(V, weights):
+    """T making the columns of V @ T orthonormal in the quadrature inner
+    product: two Cholesky passes over the Gram matrix, summed in node
+    chunks.  A diagonal shift of 1e-15 of the trace keeps a numerically
+    singular Gram factorable; the second pass restores the orthonormality
+    that the shift and the first pass's squared condition cost."""
+    n = V.shape[1]
+    T = np.eye(n, dtype=complex)
+    for _ in range(2):
+        G = np.zeros((n, n), dtype=complex)
+        for lo in range(0, len(V), _NODE_CHUNK):
+            Y = np.sqrt(weights[lo:lo + _NODE_CHUNK])[:, None] * (V[lo:lo + _NODE_CHUNK] @ T)
+            G += Y.conj().T @ Y
+        G[np.diag_indices(n)] += 1e-15 * np.trace(G).real
+        T = T @ np.linalg.inv(np.linalg.cholesky(G)).conj().T
+    return T
+
+
+def _lp_norm(u, weights, p):
+    """(sum_i w_i |u_i|^p)^(1/p), or max |u_i| at p = inf, scaled against overflow."""
+    a = np.abs(u)
+    top = float(a.max())
+    if p == np.inf or top == 0.0:
+        return top
+    return top * float((weights * (a / top) ** p).sum()) ** (1.0 / p)
+
+
+def _newton_system(u, M, weights, p, delta):
+    """Gradient and Hessian of sum_i w_i (|u_i|^2 + delta^2)^(p/2) in the
+    real unknowns (Re t, Im t) of u = b + M t, assembled in node chunks.
+
+    Each node's 2 x 2 Hessian in u has the radial and tangential
+    eigenvalues p (p-1) |u|^(p-2) and p |u|^(p-2) (smoothed when delta > 0);
+    rotating the rows of M by the phase of u separates the two directions.
+    """
+    m = M.shape[1]
+    g = np.zeros(2 * m)
+    H = np.zeros((2 * m, 2 * m))
+    for lo in range(0, len(u), _NODE_CHUNK):
+        uc, wc = u[lo:lo + _NODE_CHUNK], weights[lo:lo + _NODE_CHUNK]
+        a2 = np.abs(uc) ** 2
+        rho = a2 + delta * delta
+        tang = wc * p * rho ** (0.5 * p - 1.0)
+        rad = tang * ((p - 1.0) * a2 + delta * delta) / rho if delta else (p - 1.0) * tang
+        R = np.exp(-1j * np.angle(uc))[:, None] * M[lo:lo + _NODE_CHUNK]
+        Jr = np.hstack([R.real, -R.imag])  # radial part of M dt
+        Jt = np.hstack([R.imag, R.real])  # tangential part
+        g += Jr.T @ (tang * np.sqrt(a2))
+        H += Jr.T @ (rad[:, None] * Jr) + Jt.T @ (tang[:, None] * Jt)
+    return g, H
+
+
+def _holder_bracket(u, b, M, weights, p, delta):
+    """(upper, lower) bounds on min_t ||b + M t||_p at the feasible u.
+
+    upper = ||u||_p.  Any k projected onto the annihilator of M (whose
+    columns are orthonormal in the quadrature inner product) has
+    <b + M t, k> = <b, k> for every t, so Hölder gives
+    lower = |<b, k>| / ||k||_q, q = p / (p - 1).  The gradient of the
+    smoothed objective, k = (|u|^2 + delta^2)^(p/2 - 1) u, makes it tight
+    at the minimiser; the smoothing keeps k right where u vanishes.
+    """
+    k = u * (np.abs(u) ** 2 + delta * delta) ** (0.5 * p - 1.0)
+    k -= M @ np.conj(np.conj(weights * k) @ M)
+    kq = _lp_norm(k, weights, np.inf if p == 1.0 else p / (p - 1.0))
+    lower = abs(complex(np.vdot(k, weights * b))) / kq if kq > 0.0 else 0.0
+    return _lp_norm(u, weights, p), lower
 
 
 def quotient_norm_general(
@@ -199,73 +273,88 @@ def quotient_norm_general(
     p: float,
     basis_size: int = 32,
     grid: tuple[int, int] = (64, 256),
+    tol: float = 1e-9,
 ) -> float:
-    """Minimum (int_G |g|^p dA)^(1/p) over polynomials of degree < basis_size
-    satisfying the constraints (convex for p >= 1; solved from the p=2
-    minimizer as starting point)."""
+    """Minimum (int_G |g|^p dA)^(1/p) over polynomials g of degree
+    < basis_size meeting the constraints, on the `domain_quadrature` grid.
+
+    Works in the scaled basis ((z - c)/s)^k, c the mean of the balls'
+    Euclidean centres and s the largest |node - c| over nodes with weight,
+    with the constraints' null space made orthonormal in the quadrature
+    inner product through Cholesky factors of the Gram matrix, so the p = 2
+    minimiser is closed form.  Damped Newton runs from it on the real and
+    imaginary parts of the null-space coordinates (on the smoothed
+    (|g|^2 + d^2)^(p/2), d shrinking towards 0, when p < 2) and the value
+    is returned once the relative gap between the objective and a Hölder
+    lower bound is at most `tol`: it is then certified to `tol` for the
+    discretised problem.  Raises NonConvergence if the gap is still open
+    after NEWTON_MAX_ITER steps.  On long ball unions whose Gram condition
+    passes about 1e15 the basis no longer resolves every polynomial of that
+    degree; the certificate then holds over the polynomials it resolves.
+    """
     constraints = list(constraints)
     if not constraints:
         return 0.0
     if p < 1.0:
         raise ValueError(f"general quotient norm requires p >= 1, got {p}")
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
     if basis_size < len(constraints):
         raise ValueError("basis_size must be >= number of constraints")
-    if isinstance(domain, PseudoDisk):
-        balls = [domain]
-    else:
-        balls = list(domain.balls)
+    w = np.array([c.value for c in constraints], dtype=complex)
+    if not w.any():
+        return 0.0
+    balls = [domain] if isinstance(domain, PseudoDisk) else list(domain.balls)
     center = np.mean([pseudo_to_euclidean(b).center for b in balls])
     nodes, weights = domain_quadrature(domain, *grid)
+    owned = weights > 0.0
+    U, weights = nodes[owned] - center, weights[owned]
+    s = float(np.abs(U).max())
+    V = np.vander(U / s, basis_size, increasing=True)
+    T = _orthonormalizer(V, weights)
 
-    C = _constraint_matrix(constraints, center, basis_size)
-    w = np.array([c.value for c in constraints], dtype=complex)
-    a_part, *_ = np.linalg.lstsq(C, w, rcond=None)
-    if np.abs(C @ a_part - w).max() > 1e-8 * (1.0 + np.abs(w).max()):
+    C = _constraint_matrix(constraints, center, s, basis_size) @ T
+    Uc, sv, Vh = np.linalg.svd(C, full_matrices=True)
+    rank = int((sv > sv[0] * 1e-13).sum())
+    c2 = Vh[:rank].conj().T @ ((Uc[:, :rank].conj().T @ w) / sv[:rank])
+    if np.abs(C @ c2 - w).max() > 1e-8 * (1.0 + np.abs(w).max()):
         raise InfeasibleConstraints("constraint system unsolvable in this basis")
-    _, sv, Vh = np.linalg.svd(C, full_matrices=True)
-    rank = int((sv > sv[0] * 1e-13).sum()) if len(sv) else 0
-    N = Vh[rank:].conj().T  # null-space basis, shape (basis, basis - rank)
+    b = V @ (T @ c2)  # the p = 2 minimiser at the nodes
+    M = V @ (T @ Vh[rank:].conj().T)
+    del V
 
-    # node values of the basis monomials
-    U = nodes - center
-    V = np.vander(U, basis_size, increasing=True)
-    b = V @ a_part
-    M = V @ N
+    m = M.shape[1]
+    delta = 0.1 * _lp_norm(b, weights, 2.0) / np.sqrt(weights.sum()) if p < 2.0 else 0.0
+    u = b
 
-    # p=2 minimizer in closed form (weighted least squares), used as start
-    sw = np.sqrt(weights)
-    if M.shape[1]:
-        t2, *_ = np.linalg.lstsq(sw[:, None] * M, -sw * b, rcond=None)
-    else:
-        t2 = np.zeros(0, dtype=complex)
+    def objective(v):
+        return float((weights * (np.abs(v) ** 2 + delta * delta) ** (0.5 * p)).sum())
 
-    def objective(t):
-        u = b + M @ t
-        return float((weights * np.abs(u) ** p).sum())
-
-    if p == 2.0 or M.shape[1] == 0:
-        return objective(t2) ** (1.0 / p)
-
-    nt = M.shape[1]
-
-    def fun_grad(x):
-        t = x[:nt] + 1j * x[nt:]
-        u = b + M @ t
-        absu = np.abs(u)
-        f = float((weights * absu ** p).sum())
-        # d|u|^p/dt with u = b + M t, t = x + i y
-        scale = weights * p * np.where(absu > 0.0, absu ** (p - 2.0), 0.0)
-        inner = M.conj() * (scale * u)[:, None]
-        gx = inner.sum(axis=0)
-        return f, np.concatenate([gx.real, gx.imag])
-
-    x0 = np.concatenate([t2.real, t2.imag])
-    res = minimize(fun_grad, x0, jac=True, method="L-BFGS-B",
-                   options={"maxiter": 500, "ftol": 1e-14, "gtol": 1e-10})
-    f_best = min(res.fun, objective(t2))
-    if not res.success and res.fun > objective(t2) * (1.0 + 1e-6):
-        raise NonConvergence(f"optimizer failed: {res.message}")
-    return f_best ** (1.0 / p)
+    for it in range(NEWTON_MAX_ITER + 1):
+        upper, lower = _holder_bracket(u, b, M, weights, p, delta)
+        if upper - lower <= tol * upper:
+            return upper
+        if it == NEWTON_MAX_ITER:
+            break
+        g, H = _newton_system(u, M, weights, p, delta)
+        x = np.linalg.solve(H, -g)
+        du = M @ (x[:m] + 1j * x[m:])
+        f0, slope = objective(u), float(g @ x)
+        step = 1.0
+        # Armijo backtracking while the predicted decrease is above the
+        # rounding in f; below it Newton is in its quadratic range
+        while (-slope > 1e-12 * f0 and step > 1e-12
+               and objective(u + step * du) > f0 + 0.25 * step * slope):
+            step *= 0.5
+        u = u + step * du
+        # shrink the smoothing once its problem is nearly solved, while it
+        # still moves the objective by more than the tolerance
+        if delta and -slope <= 1e-3 * f0 and f0 - upper ** p > 0.1 * tol * upper ** p:
+            delta *= 0.1
+    raise NonConvergence(
+        f"relative gap {(upper - lower) / upper:.2e} above tol {tol:.1e} "
+        f"after {NEWTON_MAX_ITER} Newton steps"
+    )
 
 
 def target_norm(scheme: InterpolationScheme, targets: JetTargets, p: float) -> float:

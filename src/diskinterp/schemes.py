@@ -337,8 +337,13 @@ def bounded_density(Z: PointSequence, R: float) -> int:
     zmax = float(np.abs(Z.array).max())
     cover = hyp_sum(min(zmax, 1.0 - 1e-9), R)
     candidates = np.concatenate([Z.array, hyperbolic_lattice(cover, R / 4.0)])
-    counts = (psi_matrix(candidates, Z.array) < R).sum(axis=1)
-    return int(counts.max())
+    # count in blocks of about 2^20 candidate-point pairs, so memory stays
+    # bounded however large the lattice grows
+    rows = max(1, 2 ** 20 // len(Z))
+    return max(
+        int((psi_matrix(candidates[lo:lo + rows], Z.array) < R).sum(axis=1).max())
+        for lo in range(0, len(candidates), rows)
+    )
 
 
 def overlap_bound(s: InterpolationScheme) -> int:

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import diskinterp
 from diskinterp.cli import main
 
 
@@ -109,6 +114,41 @@ def test_exit_code_precondition(tmp_path):
     # epsilon so large the merged component's diameter overflows
     inp = write_doc(tmp_path, "in.json", {"points": [-0.99, 0.99]})
     assert main(["scheme", inp, "--epsilon", "0.9999"]) == 3
+
+
+def test_quotient_tol(tmp_path):
+    inp = write_doc(
+        tmp_path,
+        "in.json",
+        {"points": [0.1, [0.0, -0.2]], "values": [1.0, 1.0],
+         "domain": {"center": 0.0, "radius": 0.5}},
+    )
+    runs = {}
+    for name, extra in (("default", []), ("explicit", ["--tol", "1e-9"]),
+                        ("loose", ["--tol", "1e-2"])):
+        out = str(tmp_path / f"{name}.json")
+        assert main(["quotient", inp, "--p", "3", "--out", out] + extra) == 0
+        runs[name] = open(out, "rb").read()
+    # the default tolerance is the solver's own: same report, byte for byte
+    assert runs["default"] == runs["explicit"]
+    tight = json.loads(runs["default"])["results"]["quotient_norm"]
+    loose = json.loads(runs["loose"])["results"]["quotient_norm"]
+    assert json.loads(runs["loose"])["provenance"]["tolerance"] == 1e-2
+    assert tight * (1.0 - 1e-9) <= loose <= tight / (1.0 - 1e-2)
+    assert main(["quotient", inp, "--p", "3", "--tol", "0", "--out",
+                 str(tmp_path / "zero.json")]) == 3
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported by the few functions that need it, never by the
+    # package import every CLI command pays for
+    src = str(Path(diskinterp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, diskinterp; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 def test_exit_code_numerical(tmp_path):

@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from diskinterp import interpolation
 from diskinterp.errors import (
     DegeneratePair,
     DuplicatePoint,
     MalformedJet,
+    NonConvergence,
     PairTooFar,
     SingularGram,
 )
@@ -31,7 +35,7 @@ from diskinterp.interpolation import (
     weighted_norms,
 )
 from diskinterp.reps import PolyRep
-from diskinterp.schemes import PointSequence, build_minimal_scheme
+from diskinterp.schemes import Domain, PointSequence, build_minimal_scheme
 
 
 def poly_quotient_oracle(domain, constraints, degree=24):
@@ -170,6 +174,112 @@ def test_general_p_monotone_normalized():
         quotient_norm_general(dom, cons, p) / area ** (1.0 / p) for p in (1.0, 2.0, 4.0)
     ]
     assert vals == sorted(vals)
+
+
+def _lp(u, weights, p):
+    return float((weights * np.abs(u) ** p).sum()) ** (1.0 / p)
+
+
+def general_p_bracket(domain, constraints, p, degree, grid):
+    """(lower, upper) for the discretised general-p quotient norm, computed
+    without the library's solver on the library's quadrature.
+
+    upper: the L^p norm of the p = 2 minimiser, by least squares in the
+    monomials about the first ball's Euclidean centre.  lower: Hölder with
+    the dual vector k = |g2|^(p-2) g2 of that minimiser, projected onto the
+    annihilator of the polynomials that vanish on the constraints.
+    """
+    nodes, weights = domain_quadrature(domain, *grid)
+    keep = weights > 0.0
+    nodes, weights = nodes[keep], weights[keep]
+    first = domain if isinstance(domain, PseudoDisk) else domain.balls[0]
+    c = pseudo_to_euclidean(first).center
+    s = float(np.abs(nodes - c).max())
+    V = np.vander((nodes - c) / s, degree, increasing=True)
+    C = np.zeros((len(constraints), degree), dtype=complex)
+    for i, con in enumerate(constraints):
+        for k in range(con.order, degree):
+            C[i, k] = (math.factorial(k) // math.factorial(k - con.order)
+                       * ((con.point - c) / s) ** (k - con.order) / s ** con.order)
+    w = np.array([con.value for con in constraints])
+    a0, *_ = np.linalg.lstsq(C, w, rcond=None)
+    null = np.linalg.svd(C)[2][len(constraints):].conj().T
+    sw = np.sqrt(weights)[:, None]
+    t, *_ = np.linalg.lstsq(sw * (V @ null), -sw[:, 0] * (V @ a0), rcond=None)
+    g2 = V @ (a0 + null @ t)
+    Q, _ = np.linalg.qr(sw * (V @ null))
+    k = np.abs(g2) ** (p - 2.0) * g2
+    k -= (Q @ (Q.conj().T @ (sw[:, 0] * k))) / sw[:, 0]
+    if p == 1.0:
+        kq = float(np.abs(k).max())
+    else:
+        kq = _lp(k, weights, p / (p - 1.0))
+    lower = abs(np.vdot(k, weights * g2)) / kq
+    return lower, _lp(g2, weights, p)
+
+
+def _ball_chain(center, radius, steps):
+    balls = [PseudoDisk(center, radius)]
+    for d, theta in steps:
+        balls.append(PseudoDisk(moebius(balls[-1].center, -d * radius * np.exp(1j * theta)),
+                                radius))
+    return balls[0] if len(balls) == 1 else Domain(tuple(balls))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.floats(0.0, 0.6),
+    st.floats(0.0, 2.0 * np.pi),
+    st.floats(0.15, 0.5),
+    st.lists(st.tuples(st.floats(0.4, 1.4), st.floats(0.0, 2.0 * np.pi)), max_size=2),
+    st.lists(
+        st.tuples(st.floats(0.2, 0.6), st.integers(0, 1), st.floats(0.2, 1.0),
+                  st.floats(0.0, 2.0 * np.pi)),
+        min_size=1, max_size=3,
+    ),
+    st.floats(1.0, 4.0),
+)
+def test_general_p_within_p2_bracket(c_abs, c_arg, radius, steps, jets, p):
+    # random disks and 2-3 ball chains, 1-3 jets of order <= 1: the
+    # certified value never exceeds the p = 2 minimiser's L^p norm and
+    # never falls below a Hölder bound of the test's own
+    domain = _ball_chain(c_abs * np.exp(1j * c_arg), radius, steps)
+    balls = [domain] if isinstance(domain, PseudoDisk) else domain.balls
+    cons = []
+    for j, (t, order, mod, arg) in enumerate(jets):
+        ball = balls[j % len(balls)]
+        z = moebius(ball.center, -t * radius * np.exp(2j * np.pi * j / 3.0))
+        cons += [JetConstraint(z, o, mod * np.exp(1j * (arg + o))) for o in range(order + 1)]
+    got = quotient_norm_general(domain, cons, p, basis_size=12, grid=(24, 96))
+    lower, upper = general_p_bracket(domain, cons, p, 12, (24, 96))
+    assert lower * (1.0 - 1e-8) <= got <= upper * (1.0 + 1e-8)
+
+
+def test_general_p_nonconvergence_at_iteration_cap(monkeypatch):
+    # the p = 2 minimiser is not the p = 3 one, so with no Newton steps
+    # allowed the gap stays open and the solver must say so
+    dom = PseudoDisk(0.0, 0.5)
+    cons = [JetConstraint(0.1, 0, 1.0), JetConstraint(-0.2j, 0, 1.0)]
+    assert quotient_norm_general(dom, cons, 3.0, basis_size=12, grid=(24, 96)) > 0.0
+    monkeypatch.setattr(interpolation, "NEWTON_MAX_ITER", 0)
+    with pytest.raises(NonConvergence):
+        quotient_norm_general(dom, cons, 3.0, basis_size=12, grid=(24, 96))
+    # at p = 2 the start is the answer and needs no step
+    assert quotient_norm_general(dom, cons, 2.0) == pytest.approx(
+        quotient_norm_p2(dom, cons), rel=1e-8)
+
+
+def test_general_p_tol():
+    dom = PseudoDisk(0.0, 0.5)
+    cons = [JetConstraint(0.1, 0, 1.0), JetConstraint(-0.15, 0, 2.0)]
+    for p in (1.0, 3.0):
+        tight = quotient_norm_general(dom, cons, p, basis_size=12, grid=(24, 96))
+        loose = quotient_norm_general(dom, cons, p, basis_size=12, grid=(24, 96), tol=1e-2)
+        assert tight * (1.0 - 1e-9) <= loose <= tight / (1.0 - 1e-2)
+    with pytest.raises(ValueError):
+        quotient_norm_general(dom, cons, 3.0, tol=0.0)
+    zero = [JetConstraint(0.1, 0, 0.0), JetConstraint(-0.15, 0, 0.0)]
+    assert quotient_norm_general(dom, zero, 1.0) == 0.0
 
 
 # ----------------------------------------------------------- scheme-level API

@@ -10,6 +10,7 @@ from diskinterp.geometry import (
     PseudoDisk,
     hyp_sum,
     moebius,
+    moebius_many,
     pseudo_to_euclidean,
     psi,
     psi_matrix,
@@ -177,6 +178,26 @@ def test_bounded_density_monotone_in_radius():
     seq = PointSequence([0.0, 0.2, 0.5, -0.3j])
     vals = [bounded_density(seq, r) for r in (0.1, 0.3, 0.6, 0.9)]
     assert vals == sorted(vals)
+
+
+def test_bounded_density_blocks_match_dense_count():
+    # the densest 0.3-ball is centred on a lattice candidate that falls in
+    # the third of the 2^20 // |Z| blocks: 40 points, each taken 20 times,
+    # on a psi-circle of radius 0.28 about it, plus 100 points across the disk
+    R = 0.3
+    centre = hyperbolic_lattice(0.9, R / 4.0)[1930]
+    ring = moebius_many(centre, 0.28 * np.exp(2j * np.pi * np.arange(40) / 40))
+    rng = np.random.default_rng(7)
+    far = -0.3 * centre / abs(centre) + 0.1 * rng.uniform(size=100) * np.exp(
+        2j * np.pi * rng.uniform(size=100))
+    z = np.concatenate([np.repeat(ring, 20), far])
+    cover = hyp_sum(float(np.abs(z).max()), R)
+    candidates = np.concatenate([z, hyperbolic_lattice(cover, R / 4.0)])
+    a, b = candidates[:, None], z[None, :]
+    counts = (np.abs((a - b) / (1.0 - np.conj(b) * a)) < R).sum(axis=1)
+    assert candidates[int(np.argmax(counts))] == centre
+    assert int(np.argmax(counts)) >= 2 * (2 ** 20 // len(z))
+    assert bounded_density(PointSequence(z), R) == int(counts.max()) == 800
 
 
 def test_overlap_bound_disjoint():
