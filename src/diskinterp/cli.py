@@ -267,7 +267,7 @@ def _cmd_quotient(cfg: JobConfig, doc: dict) -> dict:
         out["quotient_norm"] = quotient_norm_p2(dom, cons)
         out["method"] = "kernel-exact"
     else:
-        out["quotient_norm"] = quotient_norm_general(dom, cons, cfg.p, tol=cfg.tol)
+        out["quotient_norm"] = quotient_norm_general(dom, cons, cfg.p)
         out["method"] = "convex-discretized"
     return out
 
@@ -382,13 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--grid", type=_parse_grid, default=(200, 200), metavar="RxT")
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--trials", type=int, default=20)
-        sp.add_argument(
-            "--tol",
-            type=float,
-            default=1e-9,
-            help="relative duality gap at which the general-p solver stops (quotient "
-            "with p != 2; target norms in other commands keep 1e-9)",
-        )
+        sp.add_argument("--tol", type=float, default=1e-9)
     return ap
 
 

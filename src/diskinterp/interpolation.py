@@ -37,9 +37,11 @@ from .reps import (
 from .schemes import InterpolationScheme, PointSequence
 
 GRAM_CONDITION_LIMIT = 1e12
+# Relative duality gap at which quotient_norm_general returns its value.
+GAP_TOL = 1e-9
 # Newton steps quotient_norm_general may take before it raises NonConvergence.
 NEWTON_MAX_ITER = 60
-# Quadrature nodes per block when assembling a Gram matrix or a Newton system.
+# Quadrature nodes per block when assembling a Newton system.
 _NODE_CHUNK = 4096
 
 
@@ -198,24 +200,6 @@ def _constraint_matrix(constraints, center, s, basis_size):
     return C
 
 
-def _orthonormalizer(V, weights):
-    """T making the columns of V @ T orthonormal in the quadrature inner
-    product: two Cholesky passes over the Gram matrix, summed in node
-    chunks.  A diagonal shift of 1e-15 of the trace keeps a numerically
-    singular Gram factorable; the second pass restores the orthonormality
-    that the shift and the first pass's squared condition cost."""
-    n = V.shape[1]
-    T = np.eye(n, dtype=complex)
-    for _ in range(2):
-        G = np.zeros((n, n), dtype=complex)
-        for lo in range(0, len(V), _NODE_CHUNK):
-            Y = np.sqrt(weights[lo:lo + _NODE_CHUNK])[:, None] * (V[lo:lo + _NODE_CHUNK] @ T)
-            G += Y.conj().T @ Y
-        G[np.diag_indices(n)] += 1e-15 * np.trace(G).real
-        T = T @ np.linalg.inv(np.linalg.cholesky(G)).conj().T
-    return T
-
-
 def _lp_norm(u, weights, p):
     """(sum_i w_i |u_i|^p)^(1/p), or max |u_i| at p = inf, scaled against overflow."""
     a = np.abs(u)
@@ -273,32 +257,30 @@ def quotient_norm_general(
     p: float,
     basis_size: int = 32,
     grid: tuple[int, int] = (64, 256),
-    tol: float = 1e-9,
 ) -> float:
     """Minimum (int_G |g|^p dA)^(1/p) over polynomials g of degree
     < basis_size meeting the constraints, on the `domain_quadrature` grid.
 
     Works in the scaled basis ((z - c)/s)^k, c the mean of the balls'
-    Euclidean centres and s the largest |node - c| over nodes with weight,
-    with the constraints' null space made orthonormal in the quadrature
-    inner product through Cholesky factors of the Gram matrix, so the p = 2
-    minimiser is closed form.  Damped Newton runs from it on the real and
+    Euclidean centres and s the largest |node - c| over nodes with weight.
+    A Householder QR of the weighted basis values gives functions
+    orthonormal in the quadrature inner product to rounding; directions
+    whose singular value is below eps * (node count) of the largest, which
+    float64 cannot resolve, are dropped, as numpy's lstsq drops them.  In
+    that basis the p = 2 minimiser is closed form, and at p = 2 its norm is
+    returned.  Otherwise damped Newton runs from it on the real and
     imaginary parts of the null-space coordinates (on the smoothed
     (|g|^2 + d^2)^(p/2), d shrinking towards 0, when p < 2) and the value
     is returned once the relative gap between the objective and a Hölder
-    lower bound is at most `tol`: it is then certified to `tol` for the
-    discretised problem.  Raises NonConvergence if the gap is still open
-    after NEWTON_MAX_ITER steps.  On long ball unions whose Gram condition
-    passes about 1e15 the basis no longer resolves every polynomial of that
-    degree; the certificate then holds over the polynomials it resolves.
+    lower bound is at most GAP_TOL: it is then certified to GAP_TOL for
+    the discretised problem.  Raises NonConvergence if the gap is still
+    open after NEWTON_MAX_ITER steps.
     """
     constraints = list(constraints)
     if not constraints:
         return 0.0
     if p < 1.0:
         raise ValueError(f"general quotient norm requires p >= 1, got {p}")
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
     if basis_size < len(constraints):
         raise ValueError("basis_size must be >= number of constraints")
     w = np.array([c.value for c in constraints], dtype=complex)
@@ -310,8 +292,26 @@ def quotient_norm_general(
     owned = weights > 0.0
     U, weights = nodes[owned] - center, weights[owned]
     s = float(np.abs(U).max())
-    V = np.vander(U / s, basis_size, increasing=True)
-    T = _orthonormalizer(V, weights)
+    sw = np.sqrt(weights)
+    from scipy.linalg import qr
+
+    # sqrt(w) ((z - c)/s)^k at the nodes, column by column in Fortran order,
+    # which LAPACK factors in place
+    x = U / s
+    A = np.empty((len(x), basis_size), dtype=complex, order="F")
+    A[:, 0] = sw
+    for k in range(1, basis_size):
+        np.multiply(A[:, k - 1], x, out=A[:, k])
+    # R alone carries the singular values and right singular vectors of A;
+    # Q is formed only for the Newton iteration
+    if p == 2.0:
+        _, R = qr(A, mode="raw", overwrite_a=True, check_finite=False)
+    else:
+        Q, R = qr(A, mode="economic", overwrite_a=True, check_finite=False)
+    del A
+    Ur, sa, Wh = np.linalg.svd(R)
+    r = int((sa > sa[0] * np.finfo(float).eps * max(len(x), basis_size)).sum())
+    T = Wh[:r].conj().T / sa[:r]  # monomial coefficients of the orthonormal basis
 
     C = _constraint_matrix(constraints, center, s, basis_size) @ T
     Uc, sv, Vh = np.linalg.svd(C, full_matrices=True)
@@ -319,9 +319,12 @@ def quotient_norm_general(
     c2 = Vh[:rank].conj().T @ ((Uc[:, :rank].conj().T @ w) / sv[:rank])
     if np.abs(C @ c2 - w).max() > 1e-8 * (1.0 + np.abs(w).max()):
         raise InfeasibleConstraints("constraint system unsolvable in this basis")
-    b = V @ (T @ c2)  # the p = 2 minimiser at the nodes
-    M = V @ (T @ Vh[rank:].conj().T)
-    del V
+    if p == 2.0:
+        return float(np.linalg.norm(c2))
+    # Q @ Ur[:, :r] is the orthonormal basis times sqrt(weights) at the nodes
+    b = (Q @ (Ur[:, :r] @ c2)) / sw  # the p = 2 minimiser at the nodes
+    M = (Q @ (Ur[:, :r] @ Vh[rank:].conj().T)) / sw[:, None]
+    del Q
 
     m = M.shape[1]
     delta = 0.1 * _lp_norm(b, weights, 2.0) / np.sqrt(weights.sum()) if p < 2.0 else 0.0
@@ -332,7 +335,7 @@ def quotient_norm_general(
 
     for it in range(NEWTON_MAX_ITER + 1):
         upper, lower = _holder_bracket(u, b, M, weights, p, delta)
-        if upper - lower <= tol * upper:
+        if upper - lower <= GAP_TOL * upper:
             return upper
         if it == NEWTON_MAX_ITER:
             break
@@ -349,10 +352,10 @@ def quotient_norm_general(
         u = u + step * du
         # shrink the smoothing once its problem is nearly solved, while it
         # still moves the objective by more than the tolerance
-        if delta and -slope <= 1e-3 * f0 and f0 - upper ** p > 0.1 * tol * upper ** p:
+        if delta and -slope <= 1e-3 * f0 and f0 - upper ** p > 0.1 * GAP_TOL * upper ** p:
             delta *= 0.1
     raise NonConvergence(
-        f"relative gap {(upper - lower) / upper:.2e} above tol {tol:.1e} "
+        f"relative gap {(upper - lower) / upper:.2e} above {GAP_TOL:.0e} "
         f"after {NEWTON_MAX_ITER} Newton steps"
     )
 

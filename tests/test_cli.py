@@ -116,29 +116,6 @@ def test_exit_code_precondition(tmp_path):
     assert main(["scheme", inp, "--epsilon", "0.9999"]) == 3
 
 
-def test_quotient_tol(tmp_path):
-    inp = write_doc(
-        tmp_path,
-        "in.json",
-        {"points": [0.1, [0.0, -0.2]], "values": [1.0, 1.0],
-         "domain": {"center": 0.0, "radius": 0.5}},
-    )
-    runs = {}
-    for name, extra in (("default", []), ("explicit", ["--tol", "1e-9"]),
-                        ("loose", ["--tol", "1e-2"])):
-        out = str(tmp_path / f"{name}.json")
-        assert main(["quotient", inp, "--p", "3", "--out", out] + extra) == 0
-        runs[name] = open(out, "rb").read()
-    # the default tolerance is the solver's own: same report, byte for byte
-    assert runs["default"] == runs["explicit"]
-    tight = json.loads(runs["default"])["results"]["quotient_norm"]
-    loose = json.loads(runs["loose"])["results"]["quotient_norm"]
-    assert json.loads(runs["loose"])["provenance"]["tolerance"] == 1e-2
-    assert tight * (1.0 - 1e-9) <= loose <= tight / (1.0 - 1e-2)
-    assert main(["quotient", inp, "--p", "3", "--tol", "0", "--out",
-                 str(tmp_path / "zero.json")]) == 3
-
-
 def test_import_loads_no_scipy():
     # scipy is imported by the few functions that need it, never by the
     # package import every CLI command pays for
