@@ -91,7 +91,6 @@ class JobConfig:
     grid: tuple[int, int] = (200, 200)
     seed: int = 0
     trials: int = 20
-    tol: float = 1e-9
 
 
 def _c(value) -> complex:
@@ -165,7 +164,6 @@ def _provenance(cfg: JobConfig) -> dict:
         "p": cfg.p,
         "alpha": cfg.alpha,
         "seed": cfg.seed,
-        "tolerance": cfg.tol,
         "grid": list(cfg.grid),
     }
 
@@ -382,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--grid", type=_parse_grid, default=(200, 200), metavar="RxT")
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--trials", type=int, default=20)
-        sp.add_argument("--tol", type=float, default=1e-9)
     return ap
 
 
@@ -406,7 +403,6 @@ def main(argv=None) -> int:
         grid=args.grid,
         seed=args.seed,
         trials=args.trials,
-        tol=args.tol,
     )
     return run(cfg)
 

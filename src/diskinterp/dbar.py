@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import k_weight_many, local_mean
+from .density import k_weight_many, local_means
 from .errors import (
     GridTooCoarse,
     PositiveLaplacian,
@@ -202,44 +202,68 @@ def cauchy_transform(g: GridFunction) -> GridFunction:
     The smooth-part subtraction u = g(z) zbar - (1/pi) int (g(w)-g(z))/(w-z) dA
     removes the kernel singularity (the identity (1/pi) int_{|w|<R} dA/(z-w)
     = zbar holds for |z| < R); the remaining bounded integrand is summed by
-    the midpoint rule, accelerated by FFT over the angular index.
+    the midpoint rule.  With w = t e^{i phi}, z = r e^{i theta} on a grid of
+    n angles, 1/(w - z) = e^{-i theta} / (t e^{i(phi - theta)} - r) is a
+    circular convolution in angle, so the sum S1(z) = sum_w area_w g(w)/(w - z)
+    is diagonal in the angular Fourier index m: its ring spectrum is
+    sum_t K_m(r, t) G_t[m], G_t the DFT of area_t g on ring t.  The ring
+    spectra K_m(r, t) = sum_k e^{2 pi i m k / n} / (t e^{2 pi i k / n} - r)
+    are geometric sums with the closed forms (x = r/t, y = t/r)
+
+        t > r:  (n/t) x^((m-1) mod n) / (1 - x^n),
+        t < r:  -(n/r) y^((-m) mod n) / (1 - y^n),
+        t = r:  -(1/r) ((n-1)/2 - ((-m) mod n))   (self cell w = z left out:
+                the exact 1/(w-z) integral over an equal-area disk vanishes
+                by symmetry),
+
+    where 1/(1 - x^n) sums the aliases x^(e + n l), l >= 0, of the power e.
+    Times the area t dr dtheta, n/t becomes 2 pi dr, the self-ring term no
+    longer depends on the ring, and with the triangle
+    T_e = 2 pi dr x^e / (1 - x^n) on t > r the part t < r at power e is
+    -T_{e+1} transposed.  So one n_r x n_r triangle, multiplied in place by
+    x for e = 0..n, gives mode (e+1) mod n from T_e and mode (1-e) mod n
+    from -T_e^T, each by a real matrix product on the (Re, Im) pairs of that
+    mode.  S2(z) = sum_w area_w/(w - z) is S1 for g = 1, whose only nonzero
+    mode is m = 0.
     """
     spec = g.spec
-    n_r, n_t = spec.n_radial, spec.n_angular
+    n_r, n = spec.n_radial, spec.n_angular
     radii = spec.radii
     dr = spec.max_radius / n_r
-    dt = 2.0 * np.pi / n_t
+    dt = 2.0 * np.pi / n
     vals = g.values
 
-    psi_ang = 2.0 * np.pi * np.arange(n_t) / n_t
-    e_ipsi = np.exp(1j * psi_ang)
+    # mode-major spectra: row m holds the n_r values of mode m as (Re, Im)
+    # pairs, so each real product below reads and writes contiguous blocks
+    G = np.ascontiguousarray(np.fft.fft(vals, axis=1).T)
+    G_ri = G.view(float).reshape(n, n_r, 2)
+    S1 = G * (-dr * dt * ((n - 1) / 2.0 - (-np.arange(n) % n)))[:, None]  # self ring
+    S1_ri = S1.view(float).reshape(n, n_r, 2)
 
-    # S1(z) = sum_w area_w g(w)/(w - z), S2(z) = sum_w area_w/(w - z);
-    # with w = t e^{i phi}, z = r e^{i theta}: 1/(w - z) =
-    # e^{-i theta} / (t e^{i(phi - theta)} - r) -- circular convolution in angle.
-    fft = np.fft.fft
-    ifft = np.fft.ifft
-    G = fft(vals, axis=1) * (radii * dr * dt)[:, None]
-    A = fft(np.ones_like(vals), axis=1) * (radii * dr * dt)[:, None]
+    # row i: z ring r = radii[i]; column j: w ring t = radii[j]
+    x = np.triu(radii[:, None] / radii[None, :], 1)  # r/t where t > r, else 0
+    kern = 2.0 * np.pi * dr / (1.0 - x ** n)
+    # S2 = mode 0 of S1 for g = 1: row sums of T_{n-1} and -T_1^T, self ring
+    s2 = (kern * x ** (n - 1)).sum(axis=1) - (kern * x).sum(axis=0) - dr * dt * (n - 1) / 2.0
+    kern *= x > 0.0  # T_0
+    prod = np.empty((n_r, 2))
+    for e in range(n + 1):
+        if e:
+            kern *= x
+            m = (1 - e) % n
+            S1_ri[m] -= np.matmul(kern.T, G_ri[m], out=prod)
+        if e < n:
+            m = (e + 1) % n
+            S1_ri[m] += np.matmul(kern, G_ri[m], out=prod)
+    del G, G_ri, S1_ri, kern, x  # the spectra go before the inverse FFT
 
-    S1 = np.zeros((n_r, n_t), dtype=complex)
-    S2 = np.zeros((n_r, n_t), dtype=complex)
-    for iz, r in enumerate(radii):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            kern = 1.0 / (radii[:, None] * e_ipsi[None, :] - r)
-        kern[iz, 0] = 0.0  # self cell: exact 1/(w-z) integral over an
-        # equal-area disk vanishes by symmetry
-        # conv(a, h~)(theta) = sum_phi a(phi) h(phi - theta), h~(x) = h(-x)
-        kt = fft(np.roll(kern[:, ::-1], 1, axis=1), axis=1)
-        S1[iz] = ifft((G * kt).sum(axis=0))
-        S2[iz] = ifft((A * kt).sum(axis=0))
-
-    theta = spec.angles
-    phase = np.exp(-1j * theta)[None, :]
-    S1 *= phase
-    S2 *= phase
-    zbar = np.conj(spec.nodes)
-    u = vals * zbar - (S1 - vals * S2) / np.pi
+    # u = vals zbar - (S1 - vals S2)/pi with zbar = r e^{-i theta} and
+    # S1, S2 carrying the factor e^{-i theta}
+    u = np.fft.ifft(S1, axis=0).T
+    del S1
+    u *= -1.0 / np.pi
+    u += vals * (radii + s2 / np.pi)[:, None]
+    u *= np.exp(-1j * spec.angles)[None, :]
     return GridFunction(spec, u)
 
 
@@ -305,8 +329,8 @@ def weighted_space_norm(
     dth = 2.0 * np.pi / n_t
     total = 0.0
     for ri in rr:
-        for tj in tt:
-            z = ri * np.exp(1j * tj)
-            m = local_mean(weighted, z, q, r, grid=(24, 24))
-            total += m ** p * (1.0 - ri ** 2) ** alpha * ri * drho * dth
+        # one call of the weighted modulus per outer ring
+        disks = [pseudo_to_euclidean(PseudoDisk(ri * np.exp(1j * tj), r)) for tj in tt]
+        m = local_means(weighted, disks, q, grid=(24, 24))
+        total += float((m ** p).sum()) * (1.0 - ri ** 2) ** alpha * ri * drho * dth
     return total ** (1.0 / p)

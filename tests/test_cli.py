@@ -153,4 +153,5 @@ def test_report_carries_provenance(tmp_path):
     assert prov["tool"] == "diskinterp"
     assert prov["command"] == "scheme"
     assert prov["seed"] == 3
+    assert "tolerance" not in prov
     assert rep["inputs"] == {"points": [0.2]}

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from diskinterp.dbar import (
     tau_smooth,
     weighted_space_norm,
 )
-from diskinterp.errors import PositiveLaplacian, StencilOutOfDomain
+from diskinterp.density import k_weight_many, local_mean
+from diskinterp.errors import GridTooCoarse, PositiveLaplacian, StencilOutOfDomain
 from diskinterp.grids import GridFunction, PolarGridSpec
 from diskinterp.schemes import PointSequence
 
@@ -159,6 +161,55 @@ def test_cauchy_transform_constant_exact():
     assert np.abs(u.values - np.conj(SPEC.nodes)).max() < 1e-12
 
 
+def cauchy_transform_fft_loop(g):
+    """Reference: the per-radius loop that FFTs the ring kernels
+    1/(t e^{i phi} - r) of every radius r (the self cell left out)."""
+    spec = g.spec
+    n_r, n_t = spec.n_radial, spec.n_angular
+    radii = spec.radii
+    dr = spec.max_radius / n_r
+    dt = 2.0 * np.pi / n_t
+    vals = g.values
+    e_ipsi = np.exp(2j * np.pi * np.arange(n_t) / n_t)
+    G = np.fft.fft(vals, axis=1) * (radii * dr * dt)[:, None]
+    A = np.fft.fft(np.ones_like(vals), axis=1) * (radii * dr * dt)[:, None]
+    S1 = np.zeros((n_r, n_t), dtype=complex)
+    S2 = np.zeros((n_r, n_t), dtype=complex)
+    for iz, r in enumerate(radii):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            kern = 1.0 / (radii[:, None] * e_ipsi[None, :] - r)
+        kern[iz, 0] = 0.0
+        kt = np.fft.fft(np.roll(kern[:, ::-1], 1, axis=1), axis=1)
+        S1[iz] = np.fft.ifft((G * kt).sum(axis=0))
+        S2[iz] = np.fft.ifft((A * kt).sum(axis=0))
+    phase = np.exp(-1j * spec.angles)[None, :]
+    return vals * np.conj(spec.nodes) - (S1 - vals * S2) * phase / np.pi
+
+
+@pytest.mark.parametrize("n_r,n_t", [(17, 33), (37, 53), (20, 48)])
+def test_cauchy_transform_matches_fft_loop(n_r, n_t):
+    spec = PolarGridSpec(n_r, n_t, 0.97)
+    g = GridFunction.sample(
+        lambda z: np.exp(2.0 * z) * (1.0 + np.conj(z)) + 1j * z.real ** 2, spec
+    )
+    got = cauchy_transform(g).values
+    expect = cauchy_transform_fft_loop(g)
+    assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
+
+
+def test_cauchy_transform_memory():
+    # no n_r x n_r x n_t kernel array: the peak stays within ten grid arrays
+    spec = PolarGridSpec(200, 200, 0.995)
+    g = GridFunction.sample(lambda z: z, spec)
+    tracemalloc.start()
+    try:
+        cauchy_transform(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 200 * 200 * 16
+
+
 def test_cauchy_transform_linearity():
     g1 = GridFunction.sample(lambda z: z.real + 0j, SPEC)
     g2 = GridFunction.sample(lambda z: np.abs(z) ** 2 + 0j, SPEC)
@@ -217,3 +268,39 @@ def test_weighted_space_norm_weight_increases_norm():
     bare = weighted_space_norm(f, PointSequence([]), 2.0, 2.0, r=0.4)
     weighted = weighted_space_norm(f, PointSequence([0.2]), 2.0, 2.0, r=0.4)
     assert weighted > bare
+
+
+def weighted_space_norm_loop(f, Z, p, q, r, alpha, outer_grid=(24, 32)):
+    """Reference: one local_mean call per outer node."""
+    base = f.as_callable()
+
+    def weighted(z):
+        return np.abs(base(z)) * np.exp(k_weight_many(Z, z))
+
+    n_r, n_t = outer_grid
+    rmax = f.spec.max_radius
+    rr = (np.arange(n_r) + 0.5) * rmax / n_r
+    tt = 2.0 * np.pi * np.arange(n_t) / n_t
+    drho = rmax / n_r
+    dth = 2.0 * np.pi / n_t
+    total = 0.0
+    for ri in rr:
+        for tj in tt:
+            m = local_mean(weighted, ri * np.exp(1j * tj), q, r, grid=(24, 24))
+            total += m ** p * (1.0 - ri ** 2) ** alpha * ri * drho * dth
+    return total ** (1.0 / p)
+
+
+@pytest.mark.parametrize("q", [2.0, np.inf])
+def test_weighted_space_norm_matches_local_mean_loop(q):
+    f = GridFunction.sample(lambda z: 0.3 + (0.5 - 0.2j) * z ** 2 + z.imag, PolarGridSpec(64, 128, 0.9))
+    Z = PointSequence([0.2, -0.5 + 0.3j, 0.7j, 0.6, -0.1 - 0.4j])
+    got = weighted_space_norm(f, Z, 2.0, q, r=0.5, alpha=1.0)
+    expect = weighted_space_norm_loop(f, Z, 2.0, q, 0.5, 1.0)
+    assert got == pytest.approx(expect, rel=1e-12)
+
+
+def test_weighted_space_norm_grid_too_coarse():
+    f = GridFunction.sample(lambda z: np.ones_like(z), PolarGridSpec(16, 16, 0.9))
+    with pytest.raises(GridTooCoarse):
+        weighted_space_norm(f, PointSequence([0.2]), 2.0, 2.0, r=0.4)

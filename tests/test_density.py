@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from diskinterp.density import (
+    K_WEIGHT_BLOCK,
     default_density_report,
     density_quotient,
     estimate_upper_densities,
@@ -13,6 +14,8 @@ from diskinterp.density import (
     local_mean,
 )
 from diskinterp.errors import EmptyGrid
+from diskinterp.geometry import PseudoDisk, pseudo_to_euclidean
+from diskinterp.grids import GridFunction, PolarGridSpec
 from diskinterp.schemes import PointSequence
 
 
@@ -38,6 +41,31 @@ def test_k_weight_many_matches_scalar():
     out = k_weight_many(Z, zs)
     for v, z in zip(out, zs):
         assert v == pytest.approx(k_weight(Z, z), abs=1e-14)
+    # near-rim pairs, |a| = |z| = 0.999 an angle 1e-4 apart, in a 2-D array:
+    # 1 - 2 Re(conj(a) z) + |a|^2 |z|^2 loses about 1e-10 relative there
+    a = 0.999 * np.exp(1j * np.array([0.3, 2.0, -1.2]))
+    Z = PointSequence(a)
+    zs = 0.999 * np.exp(1j * (np.angle(a)[None, :] + np.array([[1e-4], [-1e-4]])))
+    out = k_weight_many(Z, zs)
+    assert out.shape == zs.shape
+    for v, z in zip(out.ravel(), zs.ravel()):
+        assert v == pytest.approx(k_weight(Z, z), rel=1e-12)
+
+
+def test_k_weight_many_blocks():
+    # a 2-D array spanning several blocks of (point, node) pairs, against
+    # the direct complex formula
+    rng = np.random.default_rng(5)
+    a = 0.95 * np.sqrt(rng.uniform(size=7)) * np.exp(2j * np.pi * rng.uniform(size=7))
+    zs = 0.99 * np.sqrt(rng.uniform(size=(300, 80))) * np.exp(2j * np.pi * rng.uniform(size=(300, 80)))
+    assert zs.size * len(a) > 2 * K_WEIGHT_BLOCK
+    terms = (1.0 - np.abs(a) ** 2)[:, None, None] ** 2 / np.abs(
+        1.0 - np.conj(a)[:, None, None] * zs[None]
+    ) ** 2
+    expect = 0.5 * np.abs(zs) ** 2 * terms.sum(axis=0)
+    got = k_weight_many(PointSequence(a), zs)
+    assert got.shape == zs.shape
+    assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
 
 
 def test_k_hat_example():
@@ -133,9 +161,25 @@ def test_local_mean_monotone_in_q():
 def test_local_mean_q2_oracle():
     # |f|^2 = |w|^2 over the Euclidean disk D(c, s):
     # mean = c^2 + s^2/2 for real c
-    from diskinterp.geometry import PseudoDisk, pseudo_to_euclidean
-
     z, r = 0.4, 0.3
     e = pseudo_to_euclidean(PseudoDisk(z, r))
     expect = math.sqrt(e.center.real ** 2 + e.radius ** 2 / 2.0)
     assert local_mean(lambda w: w, z, 2.0, r) == pytest.approx(expect, rel=1e-4)
+
+
+@pytest.mark.parametrize("q", [2.0, np.inf])
+def test_local_mean_matches_midpoint_rule(q):
+    # the polar midpoint rule on the Euclidean image disk, nodes unrotated;
+    # on a nearest-node grid function a rotated node set gives other values
+    f = GridFunction.sample(lambda z: 0.3 + (0.5 - 0.2j) * z ** 2 + z.imag, PolarGridSpec(64, 128, 0.9))
+    z, r, n = 0.5 + 0.3j, 0.4, 24
+    disk = pseudo_to_euclidean(PseudoDisk(z, r))
+    rr = (np.arange(n) + 0.5) * disk.radius / n
+    tt = 2.0 * np.pi * np.arange(n) / n
+    vals = np.abs(f.as_callable()(disk.center + rr[:, None] * np.exp(1j * tt[None, :])))
+    if q == np.inf:
+        expect = vals.max()
+    else:
+        dr, dt = disk.radius / n, 2.0 * np.pi / n
+        expect = math.sqrt((vals ** 2 * rr[:, None]).sum() * dr * dt / disk.area)
+    assert local_mean(f, z, q, r, grid=(n, n)) == pytest.approx(expect, rel=1e-12)
