@@ -66,7 +66,24 @@ class GridFunction:
         return cls(spec, np.asarray(fun(spec.nodes), dtype=complex))
 
     def nodes_in_euclidean_disk(self, center: complex, radius: float) -> int:
-        return int((np.abs(self.spec.nodes - center) < radius).sum())
+        """Number of nodes z with |z - center| < radius, ring by ring: on
+        the ring of radius t the condition reads cos(theta - arg center) >
+        kappa = (t^2 + |center|^2 - radius^2) / (2 t |center|), an open arc
+        of half-width arccos(kappa) (all of the ring below kappa = -1, none
+        from kappa = 1), which holds the grid angles j dt strictly between
+        its ends over dt."""
+        spec = self.spec
+        t = spec.radii
+        n = spec.n_angular
+        dist = abs(complex(center))
+        if dist == 0.0:
+            return n * int(np.count_nonzero(t < radius))
+        kappa = (t * t + dist * dist - radius * radius) / (2.0 * t * dist)
+        half = np.arccos(np.clip(kappa, -1.0, 1.0)) * n / (2.0 * np.pi)
+        mid = np.angle(center) * n / (2.0 * np.pi)
+        arc = np.ceil(mid + half) - np.floor(mid - half) - 1.0
+        count = np.where(kappa < -1.0, n, np.where(kappa < 1.0, arc, 0.0))
+        return int(count.sum())
 
     def as_callable(self):
         """Nearest-node interpolant (clamped at the rim); vectorized."""

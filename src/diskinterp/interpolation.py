@@ -572,9 +572,10 @@ def weighted_norms(
     return total ** (1.0 / p)
 
 
-def two_point_probe_constant(d: float, trials: int = 8, seed: int = 0) -> float:
-    """Interpolation constant of the two-cluster probe {0, d} with
-    eps = d/4 (clusters stay separate) and targets drawn on the sphere."""
+def two_point_probe_constant(d: float) -> float:
+    """Ratio of the interpolant's norm to the target norm for the
+    two-cluster probe {0, d} with eps = d/4 (clusters stay separate) and
+    the values 0, 1."""
     from .schemes import build_minimal_scheme
 
     Z = PointSequence([0.0, d])

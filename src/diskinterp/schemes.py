@@ -163,6 +163,62 @@ class _UnionFind:
             self.parent[rj] = ri
 
 
+# Candidate pairs tested at once by _touching_pairs, and point pairs per
+# row block of _measured_separation: bounds their temporaries.
+PAIR_BLOCK = 2 ** 18
+# Arcs swept at once by _deepest (a single circle may exceed it), and the
+# circles of one block, whose index takes the top bits of a sort key.
+SWEEP_BLOCK = 2 ** 17
+SWEEP_CIRCLES = 2 ** 11
+
+
+def _euclidean_images(centers: np.ndarray, radii: np.ndarray):
+    """Vectorised pseudo_to_euclidean: image centres and radii."""
+    m = np.abs(centers) ** 2
+    denom = 1.0 - radii ** 2 * m
+    return (1.0 - radii ** 2) * centers / denom, radii * (1.0 - m) / denom
+
+
+def _touching_pairs(centers: np.ndarray, radii: np.ndarray):
+    """Index arrays (a, b), one entry per unordered pair i != j of open
+    pseudo-disks D(centers[i], radii[i]) that intersect, i.e. whose centres
+    are at psi < hyp_sum(r_i, r_j).
+
+    Candidates come from a sort-and-sweep over the real extents of the
+    Euclidean image disks (widened by a relative 1e-9, so rounding drops no
+    pair), tested in blocks of PAIR_BLOCK; the psi test decides.
+    """
+    n = len(centers)
+    c, r = _euclidean_images(centers, radii)
+    pad = r * (1.0 + 1e-9) + 1e-15
+    order = np.argsort(c.real - pad, kind="stable")
+    lo = (c.real - pad)[order]
+    hi = (c.real + pad)[order]
+    # sorted position p meets positions p+1 .. p+cnt[p]
+    cnt = np.searchsorted(lo, hi, side="right") - np.arange(1, n + 1)
+    cum = np.concatenate([[0], np.cumsum(cnt)])
+    out_a, out_b = [], []
+    p = 0
+    while p < n:
+        q = max(p + 1, int(np.searchsorted(cum, cum[p] + PAIR_BLOCK, side="right")) - 1)
+        k = cnt[p:q]
+        first = np.repeat(np.arange(p, q), k)
+        second = first + 1 + np.arange(len(first)) - np.repeat(cum[p:q] - cum[p], k)
+        a, b = order[first], order[second]
+        za, zb = centers[a], centers[b]
+        d = np.abs((za - zb) / (1.0 - np.conj(zb) * za))
+        d[za == zb] = 0.0
+        ra, rb = radii[a], radii[b]
+        keep = d < (ra + rb) / (1.0 + ra * rb)
+        out_a.append(a[keep].astype(np.int32))
+        out_b.append(b[keep].astype(np.int32))
+        p = q
+    # one list freed before the other is joined
+    a = np.concatenate(out_a)
+    del out_a[:]
+    return a, np.concatenate(out_b)
+
+
 def _components(Z: PointSequence, eps: float) -> list[tuple[int, ...]]:
     """Connected components of the epsilon-ball intersection graph.
 
@@ -171,10 +227,8 @@ def _components(Z: PointSequence, eps: float) -> list[tuple[int, ...]]:
     relation.  Repeated point values merge automatically (distance 0).
     """
     n = len(Z)
-    merge = psi_matrix(Z.array, Z.array) < hyp_sum(eps, eps)
     uf = _UnionFind(n)
-    ii, jj = np.nonzero(np.triu(merge, 1))
-    for i, j in zip(ii, jj):
+    for i, j in zip(*_touching_pairs(Z.array, np.full(n, float(eps)))):
         uf.union(int(i), int(j))
     groups: dict[int, list[int]] = {}
     for i in range(n):
@@ -185,15 +239,21 @@ def _components(Z: PointSequence, eps: float) -> list[tuple[int, ...]]:
 
 
 def _measured_separation(Z: PointSequence, clusters) -> float:
-    """Minimum psi over pairs of points in distinct clusters (0 if one cluster)."""
+    """Minimum psi over pairs of points in distinct clusters (0 if one
+    cluster), in row blocks of at most PAIR_BLOCK pairs."""
     if len(clusters) < 2:
         return 0.0
-    label = np.empty(len(Z), dtype=int)
+    z = Z.array
+    label = np.empty(len(z), dtype=int)
     for k, c in enumerate(clusters):
         label[list(c.members)] = k
-    d = psi_matrix(Z.array, Z.array)
-    diff = label[:, None] != label[None, :]
-    return float(d[diff].min())
+    rows = max(1, PAIR_BLOCK // len(z))
+    best = np.inf
+    for lo in range(0, len(z), rows):
+        d = psi_matrix(z[lo:lo + rows], z)
+        d[label[lo:lo + rows, None] == label[None, :]] = np.inf
+        best = min(best, float(d.min()))
+    return best
 
 
 def build_minimal_scheme(Z: PointSequence, eps: float) -> InterpolationScheme:
@@ -322,45 +382,172 @@ def hyperbolic_lattice(max_radius: float, pitch: float) -> np.ndarray:
     return np.asarray(pts, dtype=complex)
 
 
-def bounded_density(Z: PointSequence, R: float) -> int:
-    """Maximum number of points of Z (with multiplicity) in any psi-ball of
-    radius R, estimated over candidate centers: the points of Z themselves
-    plus a hyperbolic lattice of pitch R/4 covering the region of Z.
+def _sweep(c, r, a, b, circles, local, labels, weights, merge, unit):
+    """Deepest point along some Euclidean circles (c[i], r[i]):
+    (depth, i, theta).
 
-    A lower bound for the true sup over all centers; exact on small
-    instances (brute-force checked in the test suite).
+    The circles swept are circles[k], k < SWEEP_CIRCLES, and local[i] is k
+    for them and -1 for the other circles.  Each pair (a[j], b[j]) is two
+    disks of different labels that meet, one of them swept.  depth is the
+    largest, over those circles i and angles theta, of weights[labels[i]]
+    plus the weight of the other labels whose open disks hold the point at
+    angle theta of circle i; 0 when no arc is left.  A disk covers an open
+    arc of the circle, or all of it when disk i lies in it; tangency and
+    disks inside disk i give nothing.  With merge, a label's arcs on a
+    circle are first merged, so that it counts once however many disks it
+    has; unit says that every weight is 1.
+
+    Arc ends are compared on the grid of angles k 2^-48 (3.6e-15 rad, four
+    doubles near 2 pi, about the rounding error of the ends themselves),
+    with ends before starts at one grid angle: arcs that overlap by less
+    than a grid step count as touching, so rounding never adds depth.
+    """
+    la, lb = local[a], local[b]
+    v = c[b] - c[a]
+    d, ra, rb = np.abs(v), r[a], r[b]
+    # half-widths from Heron's product: its factors carry no cancellation
+    # beyond the data's, unlike the arccos of the cosine rule near tangency
+    s, t = ra + rb, ra - rb
+    root = np.sqrt(np.maximum((s + d) * (s - d) * (d - t) * (d + t), 0.0))
+    dd, st = d * d, s * t
+    # arcs on circle a (from disk b), then on circle b (from disk a)
+    full = np.concatenate([d <= -t, d <= t])
+    half = np.concatenate([np.arctan2(root, dd + st), np.arctan2(root, dd - st)])
+    keep = np.concatenate([(la >= 0) & (d > t), (lb >= 0) & (d > -t)]) & (half > 0.0)
+    keep |= np.concatenate([la >= 0, lb >= 0]) & full
+    toward = np.angle(v)
+    lo = np.concatenate([toward, toward + np.pi])[keep] - half[keep]
+    lo[lo < 0.0] += 2.0 * np.pi
+    lo[lo >= 2.0 * np.pi] -= 2.0 * np.pi
+    hi = lo + 2.0 * half[keep]
+    full = full[keep]
+    lo[full], hi[full] = 0.0, 2.0 * np.pi
+    # an arc across angle 0 is cut there into two
+    wrap = np.flatnonzero(hi > 2.0 * np.pi)
+    hi[wrap] -= 2.0 * np.pi
+    # sort key: block circle, grid angle, then 0 for an end and 1 for a start
+    circle = np.concatenate([la, lb])[keep].astype(np.int64) << 52
+    grid = 2.0 ** 48
+    key = np.concatenate([
+        circle | (lo * grid).astype(np.int64) << 1 | 1,
+        circle[wrap] | 1,
+        circle | (hi * grid).astype(np.int64) << 1,
+        circle[wrap] | int(2.0 * np.pi * grid) << 1])
+    if merge or not unit:
+        label = labels[np.concatenate([b, a])[keep]]
+        label = np.concatenate([label, label[wrap], label, label[wrap]])
+    if merge:
+        # a label comes on where its cover count leaves 0 and goes off
+        # where it returns there; each (label, circle) group's steps sum
+        # to 0, so one running sum serves every group
+        idx = np.lexsort((key, label))
+        cover = np.cumsum((key[idx] & 1) * 2 - 1)
+        idx = idx[np.where(key[idx] & 1, cover == 1, cover == 0)]
+        key, label = key[idx], label[idx]
+    if len(key) == 0:
+        return 0, -1, 0.0
+    if unit:
+        key = np.sort(key)
+        depth = 2 * np.cumsum(key & 1) - np.arange(len(key))
+    else:
+        idx = np.argsort(key)
+        key = key[idx]
+        depth = np.cumsum(weights[label[idx]] * ((key & 1) * 2 - 1))
+        depth += weights[labels[circles]][key >> 52]
+    k = int(np.argmax(depth))
+    # the maximum follows a start, and the circle's next event, an end or
+    # a later start, lies at a larger grid angle
+    grid = (key[k:k + 2] >> 1) & (2 ** 51 - 1)
+    return int(depth[k]), int(circles[key[k] >> 52]), float(grid.sum()) * 2.0 ** -49
+
+
+def _deepest(centers, radii, labels, weights):
+    """Deepest point of labelled open pseudo-disks: (depth, i, theta).
+
+    depth is the largest total weight of labels having some disk that holds
+    one common point (disk i has label labels[i], label l weight
+    weights[l] >= 1).  Every pseudo-disk is a Euclidean disk, and the
+    deepest cell of their arrangement is bounded by arcs of disks that
+    contain it.  So depth is the maximum over disks i of the weight of
+    labels[i] plus the weight of the other labels whose open disks hold
+    some point of circle i (or all of it); it is attained just inside disk
+    i near the point at angle theta of its Euclidean image circle.
+
+    Pairs come from _touching_pairs.  Circles are swept (_sweep) in
+    decreasing order of the bound weights[labels[i]] + the weights of the
+    disks of other labels meeting disk i: first the top one, then blocks of
+    at most SWEEP_CIRCLES circles and, unless one circle has more,
+    SWEEP_BLOCK arcs, stopping once no bound exceeds the depth found.
+    """
+    n = len(centers)
+    labels = np.asarray(labels)
+    weights = np.asarray(weights)
+    own = weights[labels]
+    merge = bool((np.bincount(labels) > 1).any())
+    unit = bool((weights == 1).all())
+    a, b = _touching_pairs(centers, radii)
+    if merge:
+        other = labels[a] != labels[b]
+        a, b = a[other], b[other]
+    degree = np.bincount(a, minlength=n) + np.bincount(b, minlength=n)
+    if unit:
+        # spares two float temporaries as long as the pair list
+        bound = 1 + degree
+    else:
+        bound = own + np.bincount(a, own[b], n) + np.bincount(b, own[a], n)
+    order = np.argsort(-bound, kind="stable")
+    arcs = np.concatenate([[0], np.cumsum(2 * degree[order])])
+    rank = np.empty(n, dtype=np.int32)
+    rank[order] = np.arange(n)
+    # the pairs by rank from here on: a block is a range of ranks
+    np.take(rank, a, out=a)
+    np.take(rank, b, out=b)
+    c, r = _euclidean_images(centers, radii)
+    first = int(np.argmax(own))
+    best = (int(own[first]), first, 0.0)
+    start = 0
+    while True:
+        live = int(np.searchsorted(-bound[order], -best[0], side="left"))
+        if start >= live:
+            return best
+        stop = int(np.searchsorted(arcs, arcs[start] + SWEEP_BLOCK, side="right")) - 1
+        stop = 1 if start == 0 else min(max(stop, start + 1), live, start + SWEEP_CIRCLES)
+        pick = np.flatnonzero(((a >= start) & (a < stop)) | ((b >= start) & (b < stop)))
+        local = np.where((rank >= start) & (rank < stop), rank - start, -1)
+        found = _sweep(c, r, order[a[pick]], order[b[pick]], order[start:stop], local,
+                       labels, weights, merge, unit)
+        if found[0] > best[0]:
+            best = found
+        start = stop
+
+
+def bounded_density(Z: PointSequence, R: float) -> int:
+    """Bounded density of Z at radius R: the exact sup over w in the disk
+    of the number of points of Z, counted with multiplicity, in the open
+    psi-ball D(w, R).
+
+    w lies in D(z, R) iff z lies in D(w, R), so the sup is the largest
+    number of the open balls D(z, R), one per point of Z with multiplicity,
+    that hold one common point.  _deepest finds it by sweeping their
+    boundary circles; no centres are sampled.
     """
     if len(Z) == 0:
         return 0
     if not 0.0 < R < 1.0:
         raise ValueError(f"R must be in (0,1), got {R}")
-    zmax = float(np.abs(Z.array).max())
-    cover = hyp_sum(min(zmax, 1.0 - 1e-9), R)
-    candidates = np.concatenate([Z.array, hyperbolic_lattice(cover, R / 4.0)])
-    # count in blocks of about 2^20 candidate-point pairs, so memory stays
-    # bounded however large the lattice grows
-    rows = max(1, 2 ** 20 // len(Z))
-    return max(
-        int((psi_matrix(candidates[lo:lo + rows], Z.array) < R).sum(axis=1).max())
-        for lo in range(0, len(candidates), rows)
-    )
+    points, counts = np.unique(Z.array, return_counts=True)
+    return _deepest(points, np.full(len(points), float(R)),
+                    np.arange(len(points)), counts)[0]
 
 
 def overlap_bound(s: InterpolationScheme) -> int:
-    """Max number of scheme domains covering any one sample point."""
-    samples = [np.array([b.center for d in s.domains for b in d.balls])]
-    pitch = max(s.inner_radius / 2.0, 1e-3)
-    reach = min(hyp_sum(s.diameter, 1e-3), 1.0 - 1e-9)
-    zmax = float(np.abs(s.sequence.array).max())
-    samples.append(hyperbolic_lattice(min(hyp_sum(zmax, reach), 1 - 1e-9), pitch))
-    grid = np.concatenate(samples)
-    count = np.zeros(len(grid), dtype=int)
-    for d in s.domains:
-        inside = np.zeros(len(grid), dtype=bool)
-        for b in d.balls:
-            inside |= np.abs((grid - b.center) / (1.0 - np.conj(b.center) * grid)) < b.radius
-        count += inside
-    return int(count.max())
+    """Exact maximum number of scheme domains, each the union of its open
+    psi-balls, that hold one common point of the disk (found by _deepest,
+    each domain counted once).  1 for a minimal scheme, whose domains are
+    disjoint components of the eps-union."""
+    balls = [(b.center, b.radius, k) for k, d in enumerate(s.domains) for b in d.balls]
+    centers, radii, labels = (np.array(x) for x in zip(*balls))
+    return _deepest(centers, radii, labels, np.ones(len(s.domains), dtype=int))[0]
 
 
 def check_admissibility(s: InterpolationScheme) -> AdmissibilityReport:

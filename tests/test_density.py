@@ -136,6 +136,27 @@ def test_estimate_upper_densities_validation():
         estimate_upper_densities(Z, (0.95, 0.9), (0.0,))
 
 
+def test_estimate_upper_densities_matches_loop():
+    # the loop over Moebius images that the table replaces
+    rng = np.random.default_rng(5)
+    pts = 0.9 * np.sqrt(rng.uniform(size=40)) * np.exp(2j * np.pi * rng.uniform(size=40))
+    Z = PointSequence(np.concatenate([pts, pts[:5]]))
+    radii = (0.3, 0.9, 0.95, 0.99)
+    centers = [0.0, 0.5j, *pts[:10]]
+    rep = estimate_upper_densities(Z, radii, centers)
+    for j, a in enumerate(centers):
+        W = Z.moebius_image(a)
+        for i, r in enumerate(radii):
+            log = math.log(1.0 / (1.0 - r * r))
+            assert rep.d_values[i, j] == pytest.approx(density_quotient(W, r), rel=1e-12, abs=1e-15)
+            assert rep.s_values[i, j] == pytest.approx(k_hat(W, r) / log, rel=1e-12)
+
+
+def test_default_report_centers_in_first_appearance_order():
+    Z = PointSequence([0.2, -0.5j, 0.2, 0.0, 0.3, -0.5j])
+    assert default_density_report(Z).mobius_centers == (0.0, 0.2, -0.5j, 0.3)
+
+
 def test_default_report_centers_include_origin_and_points():
     Z = PointSequence([0.2, 0.2, -0.5j])
     rep = default_density_report(Z)

@@ -123,3 +123,21 @@ def test_grid_to_table_format():
     assert lines[0].startswith("#")
     assert len(lines) == 1 + 16 * 16
     assert len(lines[1].split()) == 4
+
+
+def test_nodes_in_euclidean_disk_matches_direct_count():
+    rng = np.random.default_rng(3)
+    for spec in (PolarGridSpec(16, 16, 0.9), PolarGridSpec(40, 64), PolarGridSpec(64, 128, 0.5)):
+        g = GridFunction(spec, np.zeros((spec.n_radial, spec.n_angular)))
+        disks = [
+            (0.6, 0.2),  # straddles angle 0
+            (0.05 - 0.01j, 0.3),  # holds the origin
+            (0.0, 0.37),  # centred at the origin
+            (0.8j, spec.max_radius - 0.8 + 0.05),  # reaches past the rim
+            (-0.9, 0.5),  # centre beyond the grid
+        ]
+        disks += [(rng.uniform(0, 1.1) * np.exp(2j * np.pi * rng.uniform()),
+                   rng.uniform(0.01, 1.2)) for _ in range(200)]
+        for c, r in disks:
+            want = int((np.abs(spec.nodes - c) < r).sum())
+            assert g.nodes_in_euclidean_disk(c, r) == want

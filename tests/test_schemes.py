@@ -1,4 +1,6 @@
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from diskinterp.schemes import (
     hyperbolic_lattice,
     overlap_bound,
 )
+from diskinterp.schemes import _deepest
 
 
 def brute_force_components(points, eps):
@@ -181,9 +184,9 @@ def test_bounded_density_monotone_in_radius():
 
 
 def test_bounded_density_blocks_match_dense_count():
-    # the densest 0.3-ball is centred on a lattice candidate that falls in
-    # the third of the 2^20 // |Z| blocks: 40 points, each taken 20 times,
-    # on a psi-circle of radius 0.28 about it, plus 100 points across the disk
+    # the densest 0.3-ball is centred on a lattice point: 40 points, each
+    # taken 20 times, on a psi-circle of radius 0.28 about it, plus 100
+    # points across the disk
     R = 0.3
     centre = hyperbolic_lattice(0.9, R / 4.0)[1930]
     ring = moebius_many(centre, 0.28 * np.exp(2j * np.pi * np.arange(40) / 40))
@@ -195,9 +198,162 @@ def test_bounded_density_blocks_match_dense_count():
     candidates = np.concatenate([z, hyperbolic_lattice(cover, R / 4.0)])
     a, b = candidates[:, None], z[None, :]
     counts = (np.abs((a - b) / (1.0 - np.conj(b) * a)) < R).sum(axis=1)
-    assert candidates[int(np.argmax(counts))] == centre
-    assert int(np.argmax(counts)) >= 2 * (2 ** 20 // len(z))
     assert bounded_density(PointSequence(z), R) == int(counts.max()) == 800
+
+
+def lattice_count(z, R):
+    """The estimate bounded_density gave before it was exact: the largest
+    count of points in a psi-ball of radius R about a point of z or of a
+    hyperbolic lattice of pitch R/4 covering them.  A lower bound."""
+    cover = hyp_sum(min(float(np.abs(z).max()), 1.0 - 1e-9), R)
+    candidates = np.concatenate([z, hyperbolic_lattice(cover, R / 4.0)])
+    return int((psi_matrix(candidates, z) < R).sum(axis=1).max())
+
+
+def sampled_depth(centers, radii, labels, fractions=(1.0 - 1e-9, 0.999, 0.9, 0.5, 0.0)):
+    """Largest number of labels having a ball that holds one sample point,
+    over points at the given fractions of each Euclidean image radius."""
+    ang = np.exp(2j * np.pi * np.arange(1024) / 1024)
+    best = 0
+    for c, r in zip(centers, radii):
+        e = pseudo_to_euclidean(PseudoDisk(c, r))
+        x = e.center + np.multiply.outer(fractions, e.radius * ang).ravel()
+        inside = psi_matrix(x, centers) < radii
+        best = max(best, max(len(set(labels[row])) for row in inside))
+    return best
+
+
+def witness_depth(centers, radii, labels, weights, i, theta):
+    """Weight of labels[i] and of the other labels having a ball that holds
+    the point at angle theta of ball i's Euclidean image circle."""
+    e = pseudo_to_euclidean(PseudoDisk(centers[i], radii[i]))
+    inside = psi_matrix([e.center + e.radius * np.exp(1j * theta)], centers)[0] < radii
+    return int(weights[labels[i]] + sum(weights[l] for l in set(labels[inside]) - {labels[i]}))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 8), st.floats(0.05, 0.9))
+def test_bounded_density_is_exact_sup(seed, n, R):
+    # 1-8 points in |z| < 0.9, some of them repeated
+    rng = np.random.default_rng(seed)
+    distinct = 0.9 * np.sqrt(rng.uniform(size=n)) * np.exp(2j * np.pi * rng.uniform(size=n))
+    z = distinct[rng.integers(0, rng.integers(1, n + 1), n)]
+    got = bounded_density(PointSequence(z), R)
+    points, counts = np.unique(z, return_counts=True)
+    radii = np.full(len(points), R)
+    labels = np.arange(len(points))
+    depth, i, theta = _deepest(points, radii, labels, counts)
+    assert got == depth <= n
+    assert got >= lattice_count(z, R)
+    sample = psi_matrix(
+        np.concatenate([pseudo_to_euclidean(PseudoDisk(p, R)).center
+                        + (1.0 - 1e-9) * pseudo_to_euclidean(PseudoDisk(p, R)).radius
+                        * np.exp(2j * np.pi * np.arange(1024) / 1024) for p in points]), z)
+    assert got >= int((sample < R).sum(axis=1).max())
+    assert witness_depth(points, radii, labels, counts, i, theta) == got
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 8), st.floats(0.02, 0.3))
+def test_overlap_bound_is_exact_on_maximal_schemes(seed, n, eps):
+    # maximal domains: one ball per cluster, radii differ, balls may nest
+    rng = np.random.default_rng(seed)
+    distinct = 0.8 * np.sqrt(rng.uniform(size=n)) * np.exp(2j * np.pi * rng.uniform(size=n))
+    z = distinct[rng.integers(0, rng.integers(1, n + 1), n)]
+    try:
+        s = build_maximal_scheme(PointSequence(z), eps)
+    except DiameterOverflow:
+        return
+    got = overlap_bound(s)
+    centers = np.array([d.balls[0].center for d in s.domains])
+    radii = np.array([d.balls[0].radius for d in s.domains])
+    labels = np.arange(len(centers))
+    ones = np.ones(len(centers), dtype=int)
+    depth, i, theta = _deepest(centers, radii, labels, ones)
+    assert got == depth <= len(s.domains)
+    assert got >= sampled_depth(centers, radii, labels)
+    assert witness_depth(centers, radii, labels, ones, i, theta) == got
+
+
+def test_overlap_bound_counts_each_domain_once():
+    # domain 0 is two overlapping balls, both holding the ball of domain 1
+    # (so a count per ball would give 3) and both meeting the ball of
+    # domain 2, which misses domain 1: two domains at most
+    s = InterpolationScheme(
+        sequence=PointSequence([0.0, 0.2, 0.55]),
+        clusters=(Cluster((0,)), Cluster((1,)), Cluster((2,))),
+        domains=(Domain((PseudoDisk(0.0, 0.5), PseudoDisk(0.1, 0.5))),
+                 Domain((PseudoDisk(0.2, 0.05),)),
+                 Domain((PseudoDisk(0.55, 0.1),))),
+        diameter=0.9, inner_radius=0.05, separation=0.2, cluster_bound=1,
+    )
+    centers = np.array([0.0, 0.1, 0.2, 0.55])
+    radii = np.array([0.5, 0.5, 0.05, 0.1])
+    labels = np.array([0, 0, 1, 2])
+    assert overlap_bound(s) == sampled_depth(centers, radii, labels) == 2
+    depth, i, theta = _deepest(centers, radii, labels, np.ones(3, dtype=int))
+    assert depth == witness_depth(centers, radii, labels, np.ones(3, dtype=int), i, theta) == 2
+
+
+def spiral_cloud(seed, n=300, rmax=0.55, jitter=0.05):
+    """The benchmark's cloud: n points evenly in area over |z| < rmax on a
+    golden-angle spiral, turned at random and moved by up to `jitter`
+    spacings."""
+    rng = np.random.default_rng(seed)
+    k = np.arange(n)
+    turn = rng.uniform(0.0, 2.0 * np.pi)
+    z = rmax * np.sqrt((k + 0.5) / n) * np.exp(1j * (k * np.pi * (3.0 - math.sqrt(5.0)) + turn))
+    step = rmax * math.sqrt(math.pi / n)
+    z = z + jitter * step * (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n))
+    return np.where(np.abs(z) > rmax, z * rmax / np.abs(z), z)
+
+
+def test_bounded_density_beats_the_lattice_on_a_cloud():
+    z = spiral_cloud(0)
+    assert lattice_count(z, 0.3) == 90
+    assert bounded_density(PointSequence(z), 0.3) == 93
+    depth, i, theta = _deepest(z, np.full(300, 0.3), np.arange(300), np.ones(300, dtype=int))
+    assert depth == witness_depth(z, np.full(300, 0.3), np.arange(300),
+                                  np.ones(300, dtype=int), i, theta) == 93
+
+
+def test_tangent_balls_and_repeats_do_not_inflate():
+    # psi(-0.5, 0.5) = 0.8 = hyp_sum(0.5, 0.5): the open 0.5-balls only touch
+    assert bounded_density(PointSequence([-0.5, 0.5]), 0.5) == 1
+    assert bounded_density(PointSequence([-0.5, 0.5, 0.5]), 0.5) == 2
+    assert bounded_density(PointSequence([0.3, 0.3, 0.3, -0.5]), 0.1) == 3
+    touching = InterpolationScheme(
+        sequence=PointSequence([-0.5, 0.5]),
+        clusters=(Cluster((0,)), Cluster((1,))),
+        domains=(Domain((PseudoDisk(-0.5, 0.5),)), Domain((PseudoDisk(0.5, 0.5),))),
+        diameter=0.8, inner_radius=0.5, separation=0.8, cluster_bound=1,
+    )
+    assert overlap_bound(touching) == 1
+    # the same ball in two domains, and a ball inside another domain's
+    same = InterpolationScheme(
+        sequence=PointSequence([0.3, 0.3, 0.35]),
+        clusters=(Cluster((0,)), Cluster((1,)), Cluster((2,))),
+        domains=(Domain((PseudoDisk(0.3, 0.2),)), Domain((PseudoDisk(0.3, 0.2),)),
+                 Domain((PseudoDisk(0.35, 0.01),))),
+        diameter=0.4, inner_radius=0.01, separation=0.0, cluster_bound=1,
+    )
+    assert overlap_bound(same) == 3
+
+
+def test_admissibility_memory_is_bounded():
+    # 2000 uniform points in |z| < 0.9: no n x n matrix is formed, and the
+    # bounded density at the measured diameter is the exact 747
+    rng = np.random.default_rng(0)
+    z = 0.9 * np.sqrt(rng.uniform(size=2000)) * np.exp(2j * np.pi * rng.uniform(size=2000))
+    tracemalloc.start()
+    try:
+        s = build_minimal_scheme(PointSequence(z), 0.02)
+        rep = check_admissibility(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 80 * 2 ** 20
+    assert rep.bounded_density_at_R == 747
 
 
 def test_overlap_bound_disjoint():
