@@ -42,6 +42,7 @@ from .interpolation import (
     example2_norm,
     example3_norm,
     example3_representative,
+    interpolation_constant_p2,
     interpolation_constant_probe,
     lagrange_cluster_interpolant,
     o_interp_weight,

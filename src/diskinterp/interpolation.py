@@ -11,7 +11,7 @@ interpolation machinery with its Blaschke product bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from math import perm
 
 import numpy as np
 
@@ -43,6 +43,10 @@ GAP_TOL = 1e-9
 NEWTON_MAX_ITER = 60
 # Quadrature nodes per block when assembling a Newton system.
 _NODE_CHUNK = 4096
+# Rows per block of the R-only QR at p = 2.
+QR_BLOCK = 1024
+# Default (radial, angular) quadrature grid of quotient_norm_general.
+QUAD_GRID = (64, 256)
 
 
 @dataclass(frozen=True)
@@ -95,17 +99,26 @@ class JetTargets:
         values = [complex(v) for v in values]
         if len(values) != len(scheme.sequence):
             raise MalformedJet("one value per sequence entry required")
-        per_cluster = []
-        for c in scheme.clusters:
-            cons = []
-            seen: dict[complex, int] = {}
-            for i in c.members:
-                pt = complex(scheme.sequence[i])
-                order = seen.get(pt, 0)
-                seen[pt] = order + 1
-                cons.append(JetConstraint(pt, order, values[i]))
-            per_cluster.append(cons)
-        return cls(per_cluster)
+        return cls([
+            [JetConstraint(pt, o, values[i]) for i, pt, o in zip(*jets)]
+            for jets in _cluster_jets(scheme)
+        ])
+
+
+def _cluster_jets(scheme: InterpolationScheme):
+    """Per cluster: (member indices, points, derivative orders), the k-th
+    occurrence of a point within a cluster being its order-k jet."""
+    out = []
+    for c in scheme.clusters:
+        points, orders = [], []
+        seen: dict[complex, int] = {}
+        for i in c.members:
+            pt = complex(scheme.sequence[i])
+            orders.append(seen.get(pt, 0))
+            seen[pt] = orders[-1] + 1
+            points.append(pt)
+        out.append((list(c.members), points, orders))
+    return out
 
 
 @dataclass(frozen=True)
@@ -116,25 +129,44 @@ class SolveReport:
     residuals: tuple[complex, ...]
 
 
-def _gram_solve(points, orders, values, center=0.0, s=1.0):
-    """Solve the kernel-representer system for minimum A^2 norm.
-
-    G[i, j] = d_z^{o_i} d_wbar^{o_j} K(z_i, w_j); returns (coeffs, norm).
-    """
-    n = len(points)
-    G = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            G[i, j] = bergman_kernel_deriv(
-                points[i], points[j], orders[i], orders[j], center=center, s=s
+def _gram(points, orders, center=0.0, s=1.0):
+    """G[i, j] = d_z^{o_i} d_wbar^{o_j} K(z_i, z_j) for the kernel K of the
+    Euclidean disk (center, s), filled one block per pair of orders."""
+    z = np.asarray(points, dtype=complex)
+    o = np.asarray(orders)
+    levels = sorted(set(o.tolist()))
+    if len(levels) == 1:
+        m = levels[0]
+        return bergman_kernel_deriv(z[:, None], z[None, :], m, m, center=center, s=s)
+    G = np.empty((len(z), len(z)), dtype=complex)
+    groups = [(k, np.flatnonzero(o == k)) for k in levels]
+    for m, rows in groups:
+        for n, cols in groups:
+            G[np.ix_(rows, cols)] = bergman_kernel_deriv(
+                z[rows, None], z[None, cols], m, n, center=center, s=s
             )
+    return G
+
+
+def _check_condition(G):
+    """Raise SingularGram unless G's 2-norm condition number is at most
+    GRAM_CONDITION_LIMIT."""
     cond = np.linalg.cond(G)
     if not np.isfinite(cond) or cond > GRAM_CONDITION_LIMIT:
         raise SingularGram(f"Gram condition number {cond:.3e} exceeds 1e12")
+
+
+def _gram_solve(G, values):
+    """Solve the kernel-representer system G c = w for minimum A^2 norm.
+
+    `values` is one target vector w or a matrix of them, one per column;
+    returns (coeffs, norms), norms = sqrt(w^H G^-1 w) per column.
+    """
+    _check_condition(G)
     w = np.asarray(values, dtype=complex)
     coeffs = np.linalg.solve(G, w)
-    norm_sq = float(np.real(np.vdot(w, coeffs)))
-    return coeffs, np.sqrt(max(norm_sq, 0.0))
+    norm_sq = (w.conj() * coeffs).sum(axis=0).real
+    return coeffs, np.sqrt(np.maximum(norm_sq, 0.0))
 
 
 def quotient_norm_p2(domain: PseudoDisk, constraints) -> float:
@@ -147,11 +179,8 @@ def quotient_norm_p2(domain: PseudoDisk, constraints) -> float:
         if not domain.contains(c.point) and psi(domain.center, c.point) > domain.radius:
             raise ValueError(f"constraint point {c.point} outside the domain")
     e = pseudo_to_euclidean(domain)
-    pts = [c.point for c in constraints]
-    orders = [c.order for c in constraints]
-    vals = [c.value for c in constraints]
-    _, norm = _gram_solve(pts, orders, vals, center=e.center, s=e.radius)
-    return norm
+    G = _gram([c.point for c in constraints], [c.order for c in constraints], e.center, e.radius)
+    return float(_gram_solve(G, [c.value for c in constraints])[1])
 
 
 def domain_quadrature(domain, n_radial: int = 64, n_angular: int = 256):
@@ -189,15 +218,13 @@ def domain_quadrature(domain, n_radial: int = 64, n_angular: int = 256):
     return np.concatenate(all_nodes), np.concatenate(all_weights)
 
 
-def _constraint_matrix(constraints, center, s, basis_size):
+def _constraint_matrix(points, orders, center, s, basis_size):
     """The constraint functionals on the scaled monomials ((z - center)/s)^k."""
-    C = np.zeros((len(constraints), basis_size), dtype=complex)
-    for i, c in enumerate(constraints):
-        v = (c.point - center) / s
-        for k in range(c.order, basis_size):
-            falling = factorial(k) // factorial(k - c.order)
-            C[i, k] = falling * v ** (k - c.order) / s ** c.order
-    return C
+    v = (np.asarray(points, dtype=complex)[:, None] - center) / s
+    o = np.asarray(orders)[:, None]
+    k = np.arange(basis_size)[None, :]
+    falling = np.array([[perm(kk, oo) for kk in range(basis_size)] for oo in orders], dtype=float)
+    return falling * v ** np.maximum(k - o, 0) / s ** o
 
 
 def _lp_norm(u, weights, p):
@@ -251,12 +278,68 @@ def _holder_bracket(u, b, M, weights, p, delta):
     return _lp_norm(u, weights, p), lower
 
 
+def _tsqr_r(A):
+    """R of a QR factorisation of the tall matrix A (its rows up to unit
+    factors): Householder QR of row blocks of QR_BLOCK, then of their
+    stacked R factors, so it is as backward stable as one QR of A."""
+    Rs = [np.linalg.qr(A[lo:lo + QR_BLOCK], mode="r") for lo in range(0, len(A), QR_BLOCK)]
+    return Rs[0] if len(Rs) == 1 else np.linalg.qr(np.vstack(Rs), mode="r")
+
+
+def _basis_constraints(domain, points, orders, basis_size, grid, with_q):
+    """The constraint matrix C in quotient_norm_general's orthonormal basis.
+
+    Returns (C, Q, Ur, weights).  The weighted scaled monomials at the
+    owned nodes factor as Q R; Q @ Ur is the orthonormal basis times
+    sqrt(weights) at the nodes.  Q is formed only when `with_q`; otherwise
+    R comes from the blocked R-only QR and Q is None.
+    """
+    balls = [domain] if isinstance(domain, PseudoDisk) else list(domain.balls)
+    center = np.mean([pseudo_to_euclidean(b).center for b in balls])
+    nodes, weights = domain_quadrature(domain, *grid)
+    owned = weights > 0.0
+    U, weights = nodes[owned] - center, weights[owned]
+    s = float(np.abs(U).max())
+    # sqrt(w) ((z - c)/s)^k at the nodes, column by column in Fortran order,
+    # which LAPACK factors in place
+    x = U / s
+    A = np.empty((len(x), basis_size), dtype=complex, order="F")
+    A[:, 0] = np.sqrt(weights)
+    for k in range(1, basis_size):
+        np.multiply(A[:, k - 1], x, out=A[:, k])
+    # R alone carries the singular values and right singular vectors of A
+    if with_q:
+        from scipy.linalg import qr
+
+        Q, R = qr(A, mode="economic", overwrite_a=True, check_finite=False)
+    else:
+        Q, R = None, _tsqr_r(A)
+    del A
+    Ur, sa, Wh = np.linalg.svd(R)
+    r = int((sa > sa[0] * np.finfo(float).eps * max(len(x), basis_size)).sum())
+    T = Wh[:r].conj().T / sa[:r]  # monomial coefficients of the orthonormal basis
+    C = _constraint_matrix(points, orders, center, s, basis_size) @ T
+    return C, Q, Ur[:, :r], weights
+
+
+def _min_norm_coeffs(C, W):
+    """Minimum-norm solutions of C c = w for the columns w of W, by the SVD
+    of C; returns (coefficients, rows spanning the null space of C).
+    Raises InfeasibleConstraints if some column has no solution."""
+    Uc, sv, Vh = np.linalg.svd(C, full_matrices=True)
+    rank = int((sv > sv[0] * 1e-13).sum())
+    c2 = Vh[:rank].conj().T @ ((Uc[:, :rank].conj().T @ W) / sv[:rank, None])
+    if (np.abs(C @ c2 - W).max(axis=0) > 1e-8 * (1.0 + np.abs(W).max(axis=0))).any():
+        raise InfeasibleConstraints("constraint system unsolvable in this basis")
+    return c2, Vh[rank:]
+
+
 def quotient_norm_general(
     domain,
     constraints,
     p: float,
     basis_size: int = 32,
-    grid: tuple[int, int] = (64, 256),
+    grid: tuple[int, int] = QUAD_GRID,
 ) -> float:
     """Minimum (int_G |g|^p dA)^(1/p) over polynomials g of degree
     < basis_size meeting the constraints, on the `domain_quadrature` grid.
@@ -268,13 +351,13 @@ def quotient_norm_general(
     whose singular value is below eps * (node count) of the largest, which
     float64 cannot resolve, are dropped, as numpy's lstsq drops them.  In
     that basis the p = 2 minimiser is closed form, and at p = 2 its norm is
-    returned.  Otherwise damped Newton runs from it on the real and
-    imaginary parts of the null-space coordinates (on the smoothed
-    (|g|^2 + d^2)^(p/2), d shrinking towards 0, when p < 2) and the value
-    is returned once the relative gap between the objective and a Hölder
-    lower bound is at most GAP_TOL: it is then certified to GAP_TOL for
-    the discretised problem.  Raises NonConvergence if the gap is still
-    open after NEWTON_MAX_ITER steps.
+    returned, with R from a blocked R-only QR and no Q.  Otherwise damped
+    Newton runs from it on the real and imaginary parts of the null-space
+    coordinates (on the smoothed (|g|^2 + d^2)^(p/2), d shrinking towards
+    0, when p < 2) and the value is returned once the relative gap between
+    the objective and a Hölder lower bound is at most GAP_TOL: it is then
+    certified to GAP_TOL for the discretised problem.  Raises
+    NonConvergence if the gap is still open after NEWTON_MAX_ITER steps.
     """
     constraints = list(constraints)
     if not constraints:
@@ -286,44 +369,16 @@ def quotient_norm_general(
     w = np.array([c.value for c in constraints], dtype=complex)
     if not w.any():
         return 0.0
-    balls = [domain] if isinstance(domain, PseudoDisk) else list(domain.balls)
-    center = np.mean([pseudo_to_euclidean(b).center for b in balls])
-    nodes, weights = domain_quadrature(domain, *grid)
-    owned = weights > 0.0
-    U, weights = nodes[owned] - center, weights[owned]
-    s = float(np.abs(U).max())
-    sw = np.sqrt(weights)
-    from scipy.linalg import qr
-
-    # sqrt(w) ((z - c)/s)^k at the nodes, column by column in Fortran order,
-    # which LAPACK factors in place
-    x = U / s
-    A = np.empty((len(x), basis_size), dtype=complex, order="F")
-    A[:, 0] = sw
-    for k in range(1, basis_size):
-        np.multiply(A[:, k - 1], x, out=A[:, k])
-    # R alone carries the singular values and right singular vectors of A;
-    # Q is formed only for the Newton iteration
-    if p == 2.0:
-        _, R = qr(A, mode="raw", overwrite_a=True, check_finite=False)
-    else:
-        Q, R = qr(A, mode="economic", overwrite_a=True, check_finite=False)
-    del A
-    Ur, sa, Wh = np.linalg.svd(R)
-    r = int((sa > sa[0] * np.finfo(float).eps * max(len(x), basis_size)).sum())
-    T = Wh[:r].conj().T / sa[:r]  # monomial coefficients of the orthonormal basis
-
-    C = _constraint_matrix(constraints, center, s, basis_size) @ T
-    Uc, sv, Vh = np.linalg.svd(C, full_matrices=True)
-    rank = int((sv > sv[0] * 1e-13).sum())
-    c2 = Vh[:rank].conj().T @ ((Uc[:, :rank].conj().T @ w) / sv[:rank])
-    if np.abs(C @ c2 - w).max() > 1e-8 * (1.0 + np.abs(w).max()):
-        raise InfeasibleConstraints("constraint system unsolvable in this basis")
+    C, Q, Ur, weights = _basis_constraints(
+        domain, [c.point for c in constraints], [c.order for c in constraints],
+        basis_size, grid, with_q=p != 2.0,
+    )
+    c2, null = _min_norm_coeffs(C, w[:, None])
     if p == 2.0:
         return float(np.linalg.norm(c2))
-    # Q @ Ur[:, :r] is the orthonormal basis times sqrt(weights) at the nodes
-    b = (Q @ (Ur[:, :r] @ c2)) / sw  # the p = 2 minimiser at the nodes
-    M = (Q @ (Ur[:, :r] @ Vh[rank:].conj().T)) / sw[:, None]
+    sw = np.sqrt(weights)
+    b = (Q @ (Ur @ c2[:, 0])) / sw  # the p = 2 minimiser at the nodes
+    M = (Q @ (Ur @ null.conj().T)) / sw[:, None]
     del Q
 
     m = M.shape[1]
@@ -383,42 +438,123 @@ def target_norm(scheme: InterpolationScheme, targets: JetTargets, p: float) -> f
 
 def solve_p2(scheme: InterpolationScheme, targets: JetTargets) -> SolveReport:
     """Unique minimum-A^2(disk)-norm function meeting every constraint of
-    every cluster, via the global kernel K(z,w) = 1/(pi (1 - conj(w) z)^2)."""
+    every cluster, via the global kernel K(z,w) = 1/(pi (1 - conj(w) z)^2).
+
+    The residuals evaluate the returned function, one batched
+    `KernelRep.derivative` call per constraint order, independently of the
+    solve."""
     cons = targets.all_constraints()
     if not cons:
         return SolveReport(KernelRep(()), 0.0, 0.0, ())
-    pts = [c.point for c in cons]
-    orders = [c.order for c in cons]
-    vals = [c.value for c in cons]
-    coeffs, norm = _gram_solve(pts, orders, vals)
-    f = KernelRep(tuple((p_, o, complex(c)) for p_, o, c in zip(pts, orders, coeffs)))
-    residuals = tuple(
-        complex(f.derivative(np.array(c.point), c.order)) - c.value for c in cons
-    )
+    pts = np.array([c.point for c in cons])
+    orders = np.array([c.order for c in cons])
+    vals = np.array([c.value for c in cons])
+    coeffs, norm = _gram_solve(_gram(pts, orders), vals)
+    f = KernelRep(tuple((c.point, c.order, complex(a)) for c, a in zip(cons, coeffs)))
+    residuals = np.empty(len(cons), dtype=complex)
+    for k in np.unique(orders):
+        sel = orders == k
+        residuals[sel] = f.derivative(pts[sel], int(k)) - vals[sel]
     return SolveReport(
         function=f,
-        norm_value=norm,
+        norm_value=float(norm),
         target_norm=target_norm(scheme, targets, 2.0),
-        residuals=residuals,
+        residuals=tuple(complex(r) for r in residuals),
     )
+
+
+class _ClusterForm:
+    """The p = 2 quotient form of one cluster, ||w||^2 = w^H D^-1 w.
+
+    On a disk domain D is the kernel Gram matrix of its Euclidean image, as
+    in quotient_norm_p2.  On a union of balls D = C C^H, C the constraint
+    matrix in quotient_norm_general's orthonormal basis (basis size
+    max(32, m), default grid), as in target_norm.
+    """
+
+    def __init__(self, domain, points, orders):
+        if domain.is_disk:
+            e = pseudo_to_euclidean(domain.balls[0])
+            self.G, self.C = _gram(points, orders, e.center, e.radius), None
+        else:
+            self.G, self.C = None, _basis_constraints(
+                domain, points, orders, max(32, len(points)), QUAD_GRID, with_q=False
+            )[0]
+
+    def norms(self, W):
+        """The quotient norm of each column of W."""
+        if self.C is None:
+            return _gram_solve(self.G, W)[1]
+        return np.linalg.norm(_min_norm_coeffs(self.C, W)[0], axis=0)
+
+    def gram(self):
+        """D, after the checks `norms` makes on every target: the condition
+        gate on a disk, the feasibility test on a union, here for every
+        unit target (so C has full row rank)."""
+        if self.C is None:
+            _check_condition(self.G)
+            return self.G
+        _min_norm_coeffs(self.C, np.eye(len(self.C)))
+        return self.C @ self.C.conj().T
+
+
+def _scheme_forms(scheme: InterpolationScheme):
+    """(members, G, forms): each cluster's member indices, the kernel Gram
+    matrix of the scheme's jets in cluster order and each cluster's p = 2
+    form."""
+    jets = _cluster_jets(scheme)
+    G = _gram([z for _, pts, _ in jets for z in pts], [o for _, _, ords in jets for o in ords])
+    forms = [_ClusterForm(dom, pts, ords) for dom, (_, pts, ords) in zip(scheme.domains, jets)]
+    return [m for m, _, _ in jets], G, forms
 
 
 def interpolation_constant_probe(
     scheme: InterpolationScheme, trials: int, seed: int
 ) -> float:
     """Empirical interpolation constant: max over random unit-sphere target
-    draws of global-solve norm over target norm, at p = 2."""
+    draws of global-solve norm over target norm, at p = 2.
+
+    A lower bound of `interpolation_constant_p2`, kept as a cross-check of
+    it.  G and the cluster forms are built once and all draws are solved
+    as the columns of one right-hand side."""
     rng = np.random.default_rng(seed)
     n = len(scheme.sequence)
-    best = 0.0
-    for _ in range(trials):
+    V = np.empty((n, trials), dtype=complex)
+    for t in range(trials):
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        v /= np.linalg.norm(v)
-        targets = JetTargets.values_on_scheme(scheme, v)
-        report = solve_p2(scheme, targets)
-        if report.target_norm > 0.0:
-            best = max(best, report.norm_value / report.target_norm)
-    return best
+        V[:, t] = v / np.linalg.norm(v)
+    if not trials:
+        return 0.0
+    members, G, forms = _scheme_forms(scheme)
+    _, norms = _gram_solve(G, V[[i for m in members for i in m]])
+    target = np.sqrt(sum(form.norms(V[m]) ** 2 for form, m in zip(forms, members)))
+    ok = target > 0.0
+    return float((norms[ok] / target[ok]).max(initial=0.0))
+
+
+def interpolation_constant_p2(scheme: InterpolationScheme) -> float:
+    """Exact p = 2 interpolation constant of the scheme: the largest ratio of
+    the minimum A^2(disk) norm of an interpolant to the target norm,
+    sqrt(lambda_max(G^-1, B)).
+
+    G is the kernel Gram matrix of the scheme's jets and B the block
+    diagonal of the clusters' p = 2 quotient forms: the inverse kernel Gram
+    matrix of a disk domain, and (C C^H)^-1 on a union of balls, C the
+    constraint matrix in quotient_norm_general's orthonormal basis.  Union
+    blocks are therefore exact only up to that quadrature and polynomial
+    basis.  G^-1 w = lambda B w is the problem D y = lambda G y for
+    D = B^-1 and y = B w, so the top eigenvalue comes from
+    scipy.linalg.eigh(D, G) with no inverse formed.  Raises SingularGram
+    and InfeasibleConstraints where the probe would.
+    """
+    from scipy.linalg import block_diag, eigh
+
+    _, G, forms = _scheme_forms(scheme)
+    _check_condition(G)
+    D = block_diag(*(form.gram() for form in forms))
+    top = len(G) - 1
+    lam = eigh(D, G, eigvals_only=True, subset_by_index=[top, top], check_finite=False)[0]
+    return float(np.sqrt(lam))
 
 
 def example1_norm(Z: PointSequence, values, p: float) -> float:

@@ -13,6 +13,9 @@ from math import comb, factorial
 
 import numpy as np
 
+# Matrix entries per block in KernelRep.derivative.
+KERNEL_BLOCK = 1 << 15
+
 
 def bergman_kernel_deriv(z, w, m: int, n: int, center: complex = 0.0, s: float = 1.0):
     """Mixed derivative d_z^m d_wbar^n of the Bergman kernel of a Euclidean
@@ -20,12 +23,13 @@ def bergman_kernel_deriv(z, w, m: int, n: int, center: complex = 0.0, s: float =
 
         K(z, w) = s^2 / (pi * (s^2 - (z-c)(conj(w)-conj(c)))^2).
 
-    The default (s=1, c=0) is the kernel of the unit disk.  Vectorized in z.
+    The default (s=1, c=0) is the kernel of the unit disk.  Broadcasts over
+    z and w, so z[:, None] and w[None, :] give the matrix of values.
     """
     u = np.asarray(z, dtype=complex) - center
-    vbar = np.conj(complex(w) - center)
+    vbar = np.conj(np.asarray(w, dtype=complex) - center)
     base = s * s - u * vbar
-    out = np.zeros_like(u)
+    out = 0.0
     for j in range(min(m, n) + 1):
         coeff = (
             comb(m, j)
@@ -33,7 +37,14 @@ def bergman_kernel_deriv(z, w, m: int, n: int, center: complex = 0.0, s: float =
             // factorial(n - j)
             * factorial(n + 1 + m - j)
         )
-        out = out + coeff * u ** (n - j) * vbar ** (m - j) * base ** -(2 + n + m - j)
+        term = base ** -(2 + n + m - j)
+        if coeff != 1:
+            term = coeff * term
+        if n > j:
+            term = term * u ** (n - j)
+        if m > j:
+            term = term * vbar ** (m - j)
+        out = out + term
     return s * s / np.pi * out
 
 
@@ -78,13 +89,25 @@ class KernelRep(AnalyticFunctionRep):
         return self.derivative(z, 0)
 
     def derivative(self, z, order: int):
+        """Sum of the terms at the points z, as a (points x terms) matrix of
+        kernel derivatives times the coefficients, one product per term
+        order and per block of at most KERNEL_BLOCK matrix entries."""
         z = np.asarray(z, dtype=complex)
-        out = np.zeros_like(z)
-        for point, n, coeff in self.terms:
-            out = out + coeff * bergman_kernel_deriv(
-                z, point, order, n, center=self.center, s=self.scale
-            )
-        return out
+        flat = z.reshape(-1)
+        out = np.zeros(flat.shape, dtype=complex)
+        if self.terms:
+            points = np.array([p for p, _, _ in self.terms], dtype=complex)
+            orders = np.array([n for _, n, _ in self.terms])
+            coeffs = np.array([c for _, _, c in self.terms], dtype=complex)
+            rows = max(1, KERNEL_BLOCK // len(self.terms))
+            for n in np.unique(orders):
+                w, c = points[orders == n], coeffs[orders == n]
+                for lo in range(0, len(flat), rows):
+                    out[lo:lo + rows] += bergman_kernel_deriv(
+                        flat[lo:lo + rows, None], w[None, :], order, int(n),
+                        center=self.center, s=self.scale,
+                    ) @ c
+        return out.reshape(z.shape)[()]
 
     def to_dict(self) -> dict:
         return {

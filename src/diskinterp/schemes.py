@@ -272,12 +272,9 @@ def build_minimal_scheme(Z: PointSequence, eps: float) -> InterpolationScheme:
     domains = []
     max_diam = 0.0
     for c in comps:
-        # one ball per distinct point value; repeats add nothing to the union
-        centers = []
-        for i in c:
-            v = Z[i]
-            if all(v != w for w in centers):
-                centers.append(v)
+        # one ball per distinct point value, in order of first appearance;
+        # repeats add nothing to the union
+        centers = dict.fromkeys(Z[i] for i in c)
         dom = Domain(tuple(PseudoDisk(v, eps) for v in centers))
         diam = dom.diameter()
         if diam >= DIAMETER_CAP:

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from diskinterp import interpolation
 from diskinterp.errors import (
     DegeneratePair,
+    DiameterOverflow,
     DuplicatePoint,
+    InfeasibleConstraints,
     MalformedJet,
     NonConvergence,
     PairTooFar,
@@ -24,6 +26,7 @@ from diskinterp.interpolation import (
     example2_norm,
     example3_norm,
     example3_representative,
+    interpolation_constant_p2,
     interpolation_constant_probe,
     lagrange_cluster_interpolant,
     o_interp_weight,
@@ -34,7 +37,7 @@ from diskinterp.interpolation import (
     two_point_probe_constant,
     weighted_norms,
 )
-from diskinterp.reps import PolyRep
+from diskinterp.reps import PolyRep, bergman_kernel_deriv
 from diskinterp.schemes import Domain, PointSequence, build_minimal_scheme
 
 
@@ -398,6 +401,157 @@ def test_probe_constant_blows_up_as_pair_merges():
     x = np.log(1.0 / np.array([0.1, 0.05, 0.025, 0.0125]))
     slope = np.polyfit(x, np.log(consts), 1)[0]
     assert slope >= 0.9
+
+
+# ------------------------------------------------ p = 2 Gram pipeline
+
+
+def _scalar_gram(points, orders, center=0.0, s=1.0):
+    n = len(points)
+    return np.array([[complex(bergman_kernel_deriv(points[i], points[j], orders[i], orders[j],
+                                                    center=center, s=s))
+                      for j in range(n)] for i in range(n)])
+
+
+def test_gram_matches_scalar_kernel_loop():
+    rng = np.random.default_rng(11)
+    pts = list(0.5 * (rng.uniform(-1, 1, 9) + 1j * rng.uniform(-1, 1, 9)))
+    orders = [0, 2, 1, 0, 1, 2, 0, 0, 1]
+    for center, s in ((0.0, 1.0), (0.2 - 0.1j, 0.55)):
+        got = interpolation._gram(pts, orders, center, s)
+        want = _scalar_gram(pts, orders, center, s)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+
+def _jet_union_scheme():
+    # a triple point (jets of order 0..2) with a point at psi 0.3 from it is
+    # one two-ball domain at eps = 0.18; two far singletons are disks
+    c = 0.5 * np.exp(0.4j)
+    pts = [c, c, c, moebius(c, 0.3 * np.exp(2.0j)), -0.4 + 0.1j, 0.2 - 0.6j]
+    scheme = build_minimal_scheme(PointSequence(pts), 0.18)
+    assert sorted(len(d.balls) for d in scheme.domains) == [1, 1, 2]
+    return scheme
+
+
+def test_probe_matches_per_trial_loop():
+    # the one-solve probe against solving every draw separately
+    scheme = _jet_union_scheme()
+    n, trials, seed = len(scheme.sequence), 6, 17
+    rng = np.random.default_rng(seed)
+    best = [0.0]
+    for _ in range(trials):
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        v /= np.linalg.norm(v)
+        report = solve_p2(scheme, JetTargets.values_on_scheme(scheme, v))
+        best.append(max(best[-1], report.norm_value / report.target_norm))
+    # the first k draws do not depend on the number of trials
+    for k in range(trials + 1):
+        assert interpolation_constant_probe(scheme, k, seed) == pytest.approx(best[k], rel=1e-12)
+
+
+def _oracle_constant(scheme, union_form=None):
+    """sqrt(lambda_max(G^-1, B)) from scalar-kernel Gram matrices,
+    scipy.linalg.inv and eigh; the union blocks of B by polarisation of
+    union_form(domain, constraints), the squared quotient norm."""
+    import scipy.linalg
+
+    targets = JetTargets.values_on_scheme(scheme, np.ones(len(scheme.sequence)))
+    blocks, pts, ords = [], [], []
+    for dom, cons in zip(scheme.domains, targets.per_cluster):
+        p, o = [c.point for c in cons], [c.order for c in cons]
+        pts += p
+        ords += o
+        if dom.is_disk:
+            e = pseudo_to_euclidean(dom.balls[0])
+            blocks.append(scipy.linalg.inv(_scalar_gram(p, o, e.center, e.radius)))
+            continue
+        m = len(cons)
+
+        def q(w):
+            return union_form(dom, [JetConstraint(z, k, a) for z, k, a in zip(p, o, w)])
+
+        eye = np.eye(m)
+        diag = [q(eye[i]) for i in range(m)]
+        B = np.diag(np.array(diag, dtype=complex))
+        for i in range(m):
+            for j in range(i + 1, m):
+                re = 0.5 * (q(eye[i] + eye[j]) - diag[i] - diag[j])
+                im = -0.5 * (q(eye[i] + 1j * eye[j]) - diag[i] - diag[j])
+                B[i, j], B[j, i] = re + 1j * im, re - 1j * im
+        blocks.append(B)
+    Ginv = scipy.linalg.inv(_scalar_gram(pts, ords))
+    lam = scipy.linalg.eigh(Ginv, scipy.linalg.block_diag(*blocks), eigvals_only=True)[-1]
+    return math.sqrt(lam)
+
+
+def test_exact_constant_matches_oracle_on_disks():
+    # singleton and jet clusters, every domain a disk
+    z = [0.0, 0.0, 0.5, 0.45j, 0.45j, 0.45j, -0.3 + 0.4j, 0.7 - 0.2j]
+    scheme = build_minimal_scheme(PointSequence(z), 0.1)
+    assert all(d.is_disk for d in scheme.domains)
+    exact = interpolation_constant_p2(scheme)
+    assert exact == pytest.approx(_oracle_constant(scheme), rel=1e-10)
+    assert interpolation_constant_probe(scheme, 20, 3) <= exact * (1.0 + 1e-9)
+    # two points: the constant is the largest ratio over all targets, so
+    # the probe's best draw comes close to it
+    pair = build_minimal_scheme(PointSequence([0.0, 0.5]), 0.125)
+    assert interpolation_constant_probe(pair, 200, 5) == pytest.approx(
+        interpolation_constant_p2(pair), rel=1e-2)
+
+
+def test_exact_constant_matches_oracle_on_a_union():
+    scheme = _jet_union_scheme()
+    exact = interpolation_constant_p2(scheme)
+    oracle = _oracle_constant(
+        scheme, lambda dom, cons: quotient_norm_general(dom, cons, 2.0, max(32, len(cons))) ** 2)
+    assert exact == pytest.approx(oracle, rel=1e-9)
+    assert interpolation_constant_probe(scheme, 20, 1) <= exact * (1.0 + 1e-9)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(st.tuples(st.floats(0.0, 0.8), st.floats(0.0, 2.0 * np.pi), st.integers(1, 2)),
+             min_size=1, max_size=4),
+    st.floats(0.02, 0.15),
+    st.integers(0, 2**16),
+)
+def test_probe_never_exceeds_exact_constant(points, eps, seed):
+    # 1-4 points, some doubled into jets; the probe's best draw is one
+    # target, so its ratio is at most the largest one
+    z = [r * np.exp(1j * t) for r, t, k in points for _ in range(k)]
+    try:
+        scheme = build_minimal_scheme(PointSequence(z), eps)
+        exact = interpolation_constant_p2(scheme)
+    except (SingularGram, InfeasibleConstraints, DiameterOverflow):
+        return
+    assert 0.0 < interpolation_constant_probe(scheme, 5, seed) <= exact * (1.0 + 1e-9)
+
+
+def test_exact_constant_raises_like_the_probe():
+    # a jet pair on top of a point 1e-7 away: the global Gram is singular
+    scheme = build_minimal_scheme(PointSequence([0.2, 0.2 + 1e-7, 0.5j]), 0.1)
+    with pytest.raises(SingularGram):
+        interpolation_constant_probe(scheme, 3, 0)
+    with pytest.raises(SingularGram):
+        interpolation_constant_p2(scheme)
+
+
+def test_blocked_r_matches_scipy_qr():
+    # a node count that is not a multiple of the block size
+    import scipy.linalg
+
+    rng = np.random.default_rng(5)
+    n = 2 * interpolation.QR_BLOCK + 37
+    x = 0.9 * (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n))
+    A = np.sqrt(rng.uniform(0.5, 1.0, n))[:, None] * x[:, None] ** np.arange(16)
+    R = interpolation._tsqr_r(A)
+    assert R.shape == (16, 16)
+    assert np.allclose(np.tril(R, -1), 0.0)
+    got = np.linalg.svd(R, compute_uv=False)
+    want = scipy.linalg.svdvals(scipy.linalg.qr(A, mode="r")[0])
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * want[0])
+    np.testing.assert_allclose(R.conj().T @ R, A.conj().T @ A, rtol=0,
+                               atol=1e-13 * want[0] ** 2)
 
 
 # -------------------------------------------------------------- worked norms

@@ -70,6 +70,29 @@ def test_kernelrep_matches_kernel():
     )
 
 
+def test_kernelrep_derivative_matches_term_sum(monkeypatch):
+    # the blocked (points x terms) product against the sum over terms, with
+    # mixed term orders, a local kernel and blocks of a few rows
+    from diskinterp import reps
+
+    rng = np.random.default_rng(3)
+    pts = 0.4 * (rng.uniform(-1, 1, 7) + 1j * rng.uniform(-1, 1, 7))
+    terms = tuple((complex(p), int(n), complex(c)) for p, n, c in zip(
+        pts, [0, 1, 2, 0, 1, 0, 2], rng.standard_normal(7) + 1j * rng.standard_normal(7)))
+    z = 0.5 * (rng.uniform(-1, 1, (6, 5)) + 1j * rng.uniform(-1, 1, (6, 5)))
+    monkeypatch.setattr(reps, "KERNEL_BLOCK", 20)
+    for center, scale in ((0.0, 1.0), (0.1 - 0.05j, 0.9)):
+        f = KernelRep(terms, center, scale)
+        for order in (0, 1, 2):
+            want = sum(c * bergman_kernel_deriv(z, p, order, n, center, scale) for p, n, c in terms)
+            got = f.derivative(z, order)
+            assert got.shape == z.shape
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+            assert complex(f.derivative(z[2, 3], order)) == pytest.approx(complex(want[2, 3]), rel=1e-13)
+    assert KernelRep(()).derivative(z, 1).shape == z.shape
+    assert not KernelRep(()).derivative(z, 1).any()
+
+
 def test_blaschke_rep_constant_term():
     f = BlaschkeLagrangeRep(((2.5 + 0j, ()),))
     assert complex(f(np.array(0.3 + 0.3j))) == pytest.approx(2.5, rel=1e-14)

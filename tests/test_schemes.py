@@ -75,6 +75,20 @@ def test_repeats_land_in_one_cluster():
     assert s.cluster_bound == 2
 
 
+def test_domain_balls_at_distinct_points_in_first_order():
+    # one ball per distinct value of a component, in order of first
+    # appearance, against the pairwise scan over the members
+    z = [0.3, 0.31j, 0.3, 0.2 + 0.1j, 0.31j, 0.2 + 0.1j, 0.3]
+    s = build_minimal_scheme(PointSequence(z), 0.2)
+    ((dom),) = s.domains
+    want = []
+    for v in z:
+        if all(v != w for w in want):
+            want.append(v)
+    assert [b.center for b in dom.balls] == want
+    assert all(b.radius == 0.2 for b in dom.balls)
+
+
 def test_two_point_merge_threshold():
     # psi(0, 0.1) = 0.1; merge iff 0.1 < hyp_sum(eps, eps)
     seq = PointSequence([0.0, 0.1])
