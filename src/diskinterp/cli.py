@@ -8,9 +8,9 @@ error, 3 precondition violation, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,25 +18,17 @@ from . import __version__
 from .density import default_density_report
 from .dbar import cauchy_transform, dbar_residual
 from .errors import (
-    DiameterOverflow,
-    DuplicatePoint,
-    EmptyGrid,
-    GridTooCoarse,
-    InfeasibleConstraints,
+    InputError,
     MalformedJet,
-    NoValidEpsilon,
-    NonConvergence,
-    PairTooFar,
+    NumericalError,
     PointOutsideDisk,
-    PositiveLaplacian,
-    QuadratureDivergence,
-    SingularGram,
-    StencilOutOfDomain,
+    PreconditionError,
 )
 from .grids import GridFunction, PolarGridSpec
 from .interpolation import (
     JetConstraint,
     JetTargets,
+    interpolation_constant_p2,
     interpolation_constant_probe,
     o_interp_weight,
     quotient_norm_general,
@@ -57,40 +49,6 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_NUMERICAL = 4
-
-_PRECONDITION_ERRORS = (
-    DiameterOverflow,
-    NoValidEpsilon,
-    EmptyGrid,
-    PairTooFar,
-    DuplicatePoint,
-    GridTooCoarse,
-    StencilOutOfDomain,
-    InfeasibleConstraints,
-    ValueError,
-)
-_NUMERICAL_ERRORS = (
-    SingularGram,
-    NonConvergence,
-    QuadratureDivergence,
-    PositiveLaplacian,
-)
-
-
-@dataclass
-class JobConfig:
-    command: str
-    input_path: str
-    output_path: str | None = None
-    p: float = 2.0
-    alpha: float = 0.0
-    epsilon: float | None = None
-    auto_eps: bool = False
-    r0: float = 0.5
-    radii: tuple[float, ...] = (0.9, 0.95, 0.99)
-    grid: tuple[int, int] = (200, 200)
-    seed: int = 0
-    trials: int = 20
 
 
 def _c(value) -> complex:
@@ -115,8 +73,6 @@ def parse_sequence(doc: dict):
     for i, entry in enumerate(doc["points"]):
         try:
             pts.append(_c(entry))
-        except PointOutsideDisk:
-            raise
         except Exception as exc:
             raise MalformedJet(f"bad point at index {i}: {entry!r}") from exc
     try:
@@ -142,6 +98,34 @@ def parse_sequence(doc: dict):
     return Z, jets
 
 
+def _constraints(Z: PointSequence, jets, doc) -> list[tuple[int, JetConstraint]]:
+    """(point index, constraint) pairs: the document's jets, or else one
+    value per point, the k-th repeat of a point being its order-k jet."""
+    if jets:
+        return [(i, JetConstraint(Z[i], order, v)) for i, order, v in jets]
+    if "values" not in doc:
+        raise MalformedJet("the input needs 'jets' or 'values'")
+    values = [_c(v) for v in doc["values"]]
+    if len(values) != len(Z):
+        raise MalformedJet(f"one value per point required: {len(Z)} points, {len(values)} values")
+    seen: dict[complex, int] = {}
+    out = []
+    for i, v in enumerate(values):
+        z = complex(Z[i])
+        seen[z] = seen.get(z, -1) + 1
+        out.append((i, JetConstraint(z, seen[z], v)))
+    return out
+
+
+def _targets_from_doc(scheme, cons) -> JetTargets:
+    """Sort (point index, constraint) pairs into the scheme's clusters."""
+    owner = {i: k for k, c in enumerate(scheme.clusters) for i in c.members}
+    per_cluster = [[] for _ in scheme.clusters]
+    for i, con in cons:
+        per_cluster[owner[i]].append(con)
+    return JetTargets(per_cluster)
+
+
 def _scheme_dict(s) -> dict:
     return {
         "clusters": [list(c.members) for c in s.clusters],
@@ -156,66 +140,37 @@ def _scheme_dict(s) -> dict:
     }
 
 
-def _provenance(cfg: JobConfig) -> dict:
+def _provenance(args) -> dict:
+    """Tool, version, command and the value of every flag the command reads."""
+    flags = _COMMANDS[args.command][1]
     return {
         "tool": "diskinterp",
         "version": __version__,
-        "command": cfg.command,
-        "p": cfg.p,
-        "alpha": cfg.alpha,
-        "seed": cfg.seed,
-        "grid": list(cfg.grid),
+        "command": args.command,
+        **{flag[2:]: getattr(args, flag[2:]) for flag in flags},
     }
 
 
-def _build_scheme(cfg: JobConfig, Z: PointSequence):
-    eps = cfg.epsilon
-    if cfg.auto_eps or eps is None:
-        eps = auto_epsilon(Z, cfg.r0)
+def _build_scheme(args, Z: PointSequence):
+    eps = auto_epsilon(Z, args.r0) if args.epsilon is None else args.epsilon
     return build_minimal_scheme(Z, eps), eps
 
 
-def _targets_from_doc(scheme, Z, jets, doc) -> JetTargets:
-    if jets:
-        per_cluster = [[] for _ in scheme.clusters]
-        owner = {}
-        for k, c in enumerate(scheme.clusters):
-            for i in c.members:
-                owner[i] = k
-        for idx, order, value in jets:
-            per_cluster[owner[idx]].append(JetConstraint(Z[idx], order, value))
-        return JetTargets(per_cluster)
-    if "values" in doc:
-        return JetTargets.values_on_scheme(scheme, [_c(v) for v in doc["values"]])
-    raise MalformedJet("interpolation needs 'jets' or 'values' in the input")
-
-
-def _cmd_scheme(cfg: JobConfig, doc: dict) -> dict:
+def _cmd_scheme(args, doc: dict) -> dict:
     Z, _ = parse_sequence(doc)
-    scheme, eps = _build_scheme(cfg, Z)
-    report = check_admissibility(scheme)
+    scheme, eps = _build_scheme(args, Z)
     return {
         "epsilon": eps,
         "scheme": _scheme_dict(scheme),
         "n_clusters": len(scheme.clusters),
         "overlap_bound": overlap_bound(scheme),
-        "admissibility": {
-            "p1_ok": report.p1_ok,
-            "p2_ok": report.p2_ok,
-            "p3_ok": report.p3_ok,
-            "p4_ok": report.p4_ok,
-            "measured_diameter": report.measured_diameter,
-            "measured_inner_radius": report.measured_inner_radius,
-            "measured_separation": report.measured_separation,
-            "measured_cluster_bound": report.measured_cluster_bound,
-            "bounded_density_at_R": report.bounded_density_at_R,
-        },
+        "admissibility": dataclasses.asdict(check_admissibility(scheme)),
     }
 
 
-def _cmd_density(cfg: JobConfig, doc: dict) -> dict:
+def _cmd_density(args, doc: dict) -> dict:
     Z, _ = parse_sequence(doc)
-    rep = default_density_report(Z, cfg.radii)
+    rep = default_density_report(Z, args.radii)
     return {
         "radii": list(rep.radii),
         "centers": [_pair(c) for c in rep.mobius_centers],
@@ -228,12 +183,12 @@ def _cmd_density(cfg: JobConfig, doc: dict) -> dict:
     }
 
 
-def _cmd_interpolate(cfg: JobConfig, doc: dict) -> dict:
-    if cfg.p < 1.0:
+def _cmd_interpolate(args, doc: dict) -> dict:
+    if args.p < 1.0:
         raise ValueError("solver commands require p >= 1")
     Z, jets = parse_sequence(doc)
-    scheme, eps = _build_scheme(cfg, Z)
-    targets = _targets_from_doc(scheme, Z, jets, doc)
+    scheme, eps = _build_scheme(args, Z)
+    targets = _targets_from_doc(scheme, _constraints(Z, jets, doc))
     report = solve_p2(scheme, targets)
     out = {
         "epsilon": eps,
@@ -242,37 +197,32 @@ def _cmd_interpolate(cfg: JobConfig, doc: dict) -> dict:
         "max_residual": max((abs(r) for r in report.residuals), default=0.0),
         "function": report.function.to_dict(),
     }
-    if cfg.p != 2.0:
-        out["target_norm_p"] = target_norm(scheme, targets, cfg.p)
+    if args.p != 2.0:
+        out["target_norm_p"] = target_norm(scheme, targets, args.p)
     return out
 
 
-def _cmd_quotient(cfg: JobConfig, doc: dict) -> dict:
-    if cfg.p < 1.0:
+def _cmd_quotient(args, doc: dict) -> dict:
+    if args.p < 1.0:
         raise ValueError("solver commands require p >= 1")
     Z, jets = parse_sequence(doc)
     if "domain" not in doc:
         raise MalformedJet("quotient needs a 'domain' {center, radius} entry")
     dom = PseudoDisk(_c(doc["domain"]["center"]), float(doc["domain"]["radius"]))
-    if jets:
-        cons = [JetConstraint(Z[i], order, v) for i, order, v in jets]
-    elif "values" in doc:
-        cons = [JetConstraint(z, 0, _c(v)) for z, v in zip(Z, doc["values"])]
-    else:
-        raise MalformedJet("quotient needs 'jets' or 'values'")
+    cons = [con for _, con in _constraints(Z, jets, doc)]
     out = {"domain": {"center": _pair(dom.center), "radius": dom.radius}}
-    if cfg.p == 2.0:
+    if args.p == 2.0:
         out["quotient_norm"] = quotient_norm_p2(dom, cons)
         out["method"] = "kernel-exact"
     else:
-        out["quotient_norm"] = quotient_norm_general(dom, cons, cfg.p)
+        out["quotient_norm"] = quotient_norm_general(dom, cons, args.p)
         out["method"] = "convex-discretized"
     return out
 
 
-def _cmd_dbar_check(cfg: JobConfig, doc: dict) -> dict:
+def _cmd_dbar_check(args, doc: dict) -> dict:
     g0 = _c(doc.get("g_constant", [1.0, 0.0]))
-    spec = PolarGridSpec(cfg.grid[0], cfg.grid[1])
+    spec = PolarGridSpec(args.grid[0], args.grid[1])
     g = GridFunction(spec, np.full((spec.n_radial, spec.n_angular), g0))
     u = cauchy_transform(g)
     f = GridFunction(spec, g.values * (1.0 - np.abs(spec.nodes) ** 2))
@@ -285,7 +235,7 @@ def _cmd_dbar_check(cfg: JobConfig, doc: dict) -> dict:
     }
 
 
-def _cmd_o_weight(cfg: JobConfig, doc: dict) -> dict:
+def _cmd_o_weight(args, doc: dict) -> dict:
     Z, _ = parse_sequence(doc)
     if "coefficients" not in doc:
         raise MalformedJet("o-weight needs a 'coefficients' list")
@@ -293,59 +243,19 @@ def _cmd_o_weight(cfg: JobConfig, doc: dict) -> dict:
     if len(coeffs) != len(Z):
         raise MalformedJet("one coefficient per point required")
     return {
-        "o_interp_weight": o_interp_weight(Z, coeffs, cfg.p, cfg.alpha),
+        "o_interp_weight": o_interp_weight(Z, coeffs, args.p, args.alpha),
     }
 
 
-def _cmd_probe(cfg: JobConfig, doc: dict) -> dict:
+def _cmd_probe(args, doc: dict) -> dict:
     Z, _ = parse_sequence(doc)
-    scheme, eps = _build_scheme(cfg, Z)
-    K = interpolation_constant_probe(scheme, cfg.trials, cfg.seed)
+    scheme, eps = _build_scheme(args, Z)
     return {
         "epsilon": eps,
-        "trials": cfg.trials,
-        "interpolation_constant": K,
+        "trials": args.trials,
+        "interpolation_constant": interpolation_constant_probe(scheme, args.trials, args.seed),
+        "exact_constant": interpolation_constant_p2(scheme),
     }
-
-
-_COMMANDS = {
-    "scheme": _cmd_scheme,
-    "density": _cmd_density,
-    "interpolate": _cmd_interpolate,
-    "quotient": _cmd_quotient,
-    "dbar-check": _cmd_dbar_check,
-    "o-weight": _cmd_o_weight,
-    "probe": _cmd_probe,
-}
-
-
-def run(cfg: JobConfig) -> int:
-    """Dispatch a job; write the report; return the process exit status."""
-    try:
-        with open(cfg.input_path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot parse input: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        body = _COMMANDS[cfg.command](cfg, doc)
-    except (PointOutsideDisk, MalformedJet) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except _PRECONDITION_ERRORS as exc:
-        print(f"error: precondition violated: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except _NUMERICAL_ERRORS as exc:
-        print(f"error: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    report = {"provenance": _provenance(cfg), "inputs": doc, "results": body}
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if cfg.output_path:
-        with open(cfg.output_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
@@ -356,55 +266,88 @@ def _parse_grid(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"grid must look like 200x200: {text}") from exc
 
 
+def _parse_radii(text: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(r) for r in text.split(",") if r)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"radii must look like 0.9,0.95: {text}") from exc
+
+
+# --epsilon and --r0 are mutually exclusive: --r0 is read only when
+# --epsilon is left out, to choose epsilon by auto_epsilon
+_EPSILON = ("--epsilon", "--r0")
+_FLAGS = {
+    "--p": dict(type=float, default=2.0, help="Lebesgue exponent, p >= 1"),
+    "--alpha": dict(type=float, default=0.0, help="weight exponent, alpha > -1"),
+    "--epsilon": dict(type=float, default=None, help="radius of the scheme's balls"),
+    "--r0": dict(type=float, default=0.5, help="auto_epsilon target radius"),
+    "--radii": dict(type=_parse_radii, default=(0.9, 0.95, 0.99), metavar="R,R,...",
+                    help="comma-separated density radii"),
+    "--grid": dict(type=_parse_grid, default=(200, 200), metavar="RxT"),
+    "--seed": dict(type=int, default=0),
+    "--trials": dict(type=int, default=20),
+}
+# command -> (handler, the parameter flags it reads)
+_COMMANDS = {
+    "scheme": (_cmd_scheme, _EPSILON),
+    "density": (_cmd_density, ("--radii",)),
+    "interpolate": (_cmd_interpolate, ("--p", *_EPSILON)),
+    "quotient": (_cmd_quotient, ("--p",)),
+    "dbar-check": (_cmd_dbar_check, ("--grid",)),
+    "o-weight": (_cmd_o_weight, ("--p", "--alpha")),
+    "probe": (_cmd_probe, (*_EPSILON, "--seed", "--trials")),
+}
+
+
+def run(args) -> int:
+    """Dispatch a parsed command line; write the report; return the process
+    exit status."""
+    try:
+        with open(args.input) as fh:
+            doc = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        print(f"error: cannot parse input: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    try:
+        body = _COMMANDS[args.command][0](args, doc)
+    except InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except (PreconditionError, ValueError) as exc:
+        print(f"error: precondition violated: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
+    except NumericalError as exc:
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    report = {"provenance": _provenance(args), "inputs": doc, "results": body}
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return EXIT_OK
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="diskinterp",
         description="Interpolation schemes, densities and dbar checks on the unit disk",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (_, flags) in _COMMANDS.items():
         sp = sub.add_parser(name)
         sp.add_argument("input", help="input JSON document")
         sp.add_argument("--out", default=None, help="report path (default stdout)")
-        sp.add_argument("--p", type=float, default=2.0)
-        sp.add_argument("--alpha", type=float, default=0.0)
-        group = sp.add_mutually_exclusive_group()
-        group.add_argument("--epsilon", type=float, default=None)
-        group.add_argument(
-            "--auto-epsilon", action="store_true", help="choose epsilon automatically"
-        )
-        sp.add_argument("--r0", type=float, default=0.5, help="auto-epsilon target radius")
-        sp.add_argument(
-            "--radii", default="0.9,0.95,0.99", help="comma-separated density radii"
-        )
-        sp.add_argument("--grid", type=_parse_grid, default=(200, 200), metavar="RxT")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--trials", type=int, default=20)
+        # argparse cannot format the usage of an empty group
+        pair = sp.add_mutually_exclusive_group() if _EPSILON[0] in flags else sp
+        for flag in flags:
+            (pair if flag in _EPSILON else sp).add_argument(flag, **_FLAGS[flag])
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        radii = tuple(float(r) for r in str(args.radii).split(",") if r)
-    except ValueError:
-        print(f"error: bad radii list: {args.radii}", file=sys.stderr)
-        return EXIT_PARSE
-    cfg = JobConfig(
-        command=args.command,
-        input_path=args.input,
-        output_path=args.out,
-        p=args.p,
-        alpha=args.alpha,
-        epsilon=args.epsilon,
-        auto_eps=args.auto_epsilon,
-        r0=args.r0,
-        radii=radii,
-        grid=args.grid,
-        seed=args.seed,
-        trials=args.trials,
-    )
-    return run(cfg)
+    return run(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

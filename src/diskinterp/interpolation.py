@@ -543,17 +543,22 @@ def interpolation_constant_p2(scheme: InterpolationScheme) -> float:
     constraint matrix in quotient_norm_general's orthonormal basis.  Union
     blocks are therefore exact only up to that quadrature and polynomial
     basis.  G^-1 w = lambda B w is the problem D y = lambda G y for
-    D = B^-1 and y = B w, so the top eigenvalue comes from
-    scipy.linalg.eigh(D, G) with no inverse formed.  Raises SingularGram
-    and InfeasibleConstraints where the probe would.
+    D = B^-1 and y = B w; with G = L L^H it is the Hermitian problem
+    L^-1 D L^-H x = lambda x (the reduction LAPACK's hegv makes), so no
+    inverse of B is formed.  Raises SingularGram and InfeasibleConstraints
+    where the probe would.
     """
-    from scipy.linalg import block_diag, eigh
-
     _, G, forms = _scheme_forms(scheme)
     _check_condition(G)
-    D = block_diag(*(form.gram() for form in forms))
-    top = len(G) - 1
-    lam = eigh(D, G, eigvals_only=True, subset_by_index=[top, top], check_finite=False)[0]
+    D = np.zeros_like(G)
+    lo = 0
+    for form in forms:
+        block = form.gram()
+        D[lo:lo + len(block), lo:lo + len(block)] = block
+        lo += len(block)
+    L = np.linalg.cholesky(G)
+    LiD = np.linalg.solve(L, D)
+    lam = np.linalg.eigvalsh(np.linalg.solve(L, LiD.conj().T))[-1]
     return float(np.sqrt(lam))
 
 

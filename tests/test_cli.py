@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import diskinterp
+from diskinterp import errors
 from diskinterp.cli import main
 
 
@@ -37,7 +39,7 @@ def test_scheme_two_clusters(tmp_path):
 
 def test_scheme_auto_epsilon(tmp_path):
     inp = write_doc(tmp_path, "in.json", {"points": [0.0, 0.05, [0.0, 0.6]]})
-    code, rep = run_cli(tmp_path, ["scheme", inp, "--auto-epsilon", "--r0", "0.4"])
+    code, rep = run_cli(tmp_path, ["scheme", inp, "--r0", "0.4"])
     assert code == 0
     assert 0.0 < rep["results"]["epsilon"] < 0.4
 
@@ -147,11 +149,129 @@ def test_reports_are_byte_identical(tmp_path):
 
 def test_report_carries_provenance(tmp_path):
     inp = write_doc(tmp_path, "in.json", {"points": [0.2]})
-    code, rep = run_cli(tmp_path, ["scheme", inp, "--epsilon", "0.1", "--seed", "3"])
+    code, rep = run_cli(tmp_path, ["probe", inp, "--epsilon", "0.1", "--seed", "3"])
     assert code == 0
     prov = rep["provenance"]
     assert prov["tool"] == "diskinterp"
-    assert prov["command"] == "scheme"
+    assert prov["command"] == "probe"
     assert prov["seed"] == 3
     assert "tolerance" not in prov
     assert rep["inputs"] == {"points": [0.2]}
+
+
+# the parameter flags each command reads, besides `input` and `--out`
+COMMAND_FLAGS = {
+    "scheme": {"--epsilon", "--r0"},
+    "density": {"--radii"},
+    "interpolate": {"--p", "--epsilon", "--r0"},
+    "quotient": {"--p"},
+    "dbar-check": {"--grid"},
+    "o-weight": {"--p", "--alpha"},
+    "probe": {"--epsilon", "--r0", "--seed", "--trials"},
+}
+FLAG_VALUES = {"--p": "3", "--alpha": "0.5", "--epsilon": "0.1", "--r0": "0.4",
+               "--radii": "0.9,0.95", "--grid": "32x32", "--seed": "3", "--trials": "4"}
+# one valid input per command
+COMMAND_DOCS = {
+    "scheme": {"points": [0.0, 0.5]},
+    "density": {"points": [0.1, 0.3]},
+    "interpolate": {"points": [0.0, 0.5], "values": [1.0, 2.0]},
+    "quotient": {"points": [0.0], "values": [2.0], "domain": {"center": 0.0, "radius": 0.5}},
+    "dbar-check": {"g_constant": [1.0, 0.0]},
+    "o-weight": {"points": [0.5], "coefficients": [2.0]},
+    "probe": {"points": [0.0, 0.5]},
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_command_takes_only_its_flags(tmp_path, command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"--[a-z0-9-]+", capsys.readouterr().out))
+    assert listed - {"--help", "--out"} == COMMAND_FLAGS[command]
+    # a flag of another command is a parse error
+    inp = write_doc(tmp_path, "in.json", COMMAND_DOCS[command])
+    foreign = set().union(*COMMAND_FLAGS.values()) - COMMAND_FLAGS[command]
+    assert foreign
+    for flag in sorted(foreign):
+        with pytest.raises(SystemExit) as exc:
+            main([command, inp, flag, FLAG_VALUES[flag]])
+        assert exc.value.code == 2, flag
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_provenance_records_exactly_the_commands_flags(tmp_path, command):
+    inp = write_doc(tmp_path, "in.json", COMMAND_DOCS[command])
+    # every flag the command reads, --r0 standing for the exclusive pair
+    flags = [a for f in sorted(COMMAND_FLAGS[command] - {"--epsilon"})
+             for a in (f, FLAG_VALUES[f])]
+    code, rep = run_cli(tmp_path, [command, inp, *flags])
+    assert code == 0
+    prov = rep["provenance"]
+    assert set(prov) == {"tool", "version", "command"} | {f[2:] for f in COMMAND_FLAGS[command]}
+    assert prov["command"] == command
+    assert prov["version"] == diskinterp.__version__
+    if "--epsilon" in COMMAND_FLAGS[command]:
+        assert prov["epsilon"] is None and prov["r0"] == 0.4
+
+
+def test_epsilon_and_r0_are_exclusive(tmp_path, capsys):
+    inp = write_doc(tmp_path, "in.json", {"points": [0.0, 0.5], "values": [1.0, 2.0]})
+    for command in ("scheme", "interpolate", "probe"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, inp, "--epsilon", "0.1", "--r0", "0.4"])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
+
+def test_quotient_one_value_short_is_a_parse_error(tmp_path):
+    inp = write_doc(tmp_path, "in.json", {
+        "points": [0.0, 0.2, 0.3], "values": [1.0, 2.0],
+        "domain": {"center": 0.0, "radius": 0.5},
+    })
+    assert main(["quotient", inp, "--out", str(tmp_path / "x.json")]) == 2
+
+
+def test_quotient_values_at_a_repeated_point_are_its_jet(tmp_path):
+    domain = {"center": 0.0, "radius": 0.5}
+    by_values = write_doc(tmp_path, "values.json", {
+        "points": [0.1, 0.1], "values": [1.0, 2.0], "domain": domain})
+    by_jets = write_doc(tmp_path, "jets.json", {
+        "points": [0.1, 0.1], "domain": domain,
+        "jets": [{"point_index": 0, "order": 0, "value": 1.0},
+                 {"point_index": 1, "order": 1, "value": 2.0}]})
+    code_v, rep_v = run_cli(tmp_path, ["quotient", by_values])
+    code_j, rep_j = run_cli(tmp_path, ["quotient", by_jets])
+    assert code_v == code_j == 0
+    assert rep_v["results"]["quotient_norm"] == rep_j["results"]["quotient_norm"]
+
+
+def test_probe_reports_exact_constant_without_scipy(tmp_path):
+    # 0 and 0.05 form one two-ball cluster, whose p = 2 form comes from the
+    # quadrature basis; the probe imports no scipy on that path either
+    inp = write_doc(tmp_path, "in.json", {"points": [0.0, 0.05, 0.5]})
+    out = str(tmp_path / "report.json")
+    src = str(Path(diskinterp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys; from diskinterp.cli import main; "
+            f"status = main(['probe', {inp!r}, '--epsilon', '0.1', '--out', {out!r}]); "
+            "print(status, [m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=60)
+    assert proc.stdout.strip() == "0 []"
+    res = json.loads(open(out).read())["results"]
+    assert res["exact_constant"] >= res["interpolation_constant"] * (1.0 - 1e-9)
+    assert res["interpolation_constant"] >= 1.0 - 1e-9
+
+
+def test_every_error_has_one_exit_status():
+    families = (errors.InputError, errors.PreconditionError, errors.NumericalError)
+    leaves = [c for c in vars(errors).values() if isinstance(c, type)
+              and issubclass(c, errors.DiskInterpError)
+              and c not in families and c is not errors.DiskInterpError]
+    assert len(leaves) == 15
+    for cls in leaves:
+        assert sum(issubclass(cls, f) for f in families) == 1, cls.__name__
+    assert issubclass(errors.DegeneratePair, errors.PreconditionError)
