@@ -206,9 +206,10 @@ def _cmd_quotient(args, doc: dict) -> dict:
     if args.p < 1.0:
         raise ValueError("solver commands require p >= 1")
     Z, jets = parse_sequence(doc)
-    if "domain" not in doc:
+    domain = doc.get("domain")
+    if not isinstance(domain, dict) or not {"center", "radius"} <= domain.keys():
         raise MalformedJet("quotient needs a 'domain' {center, radius} entry")
-    dom = PseudoDisk(_c(doc["domain"]["center"]), float(doc["domain"]["radius"]))
+    dom = PseudoDisk(_c(domain["center"]), float(domain["radius"]))
     cons = [con for _, con in _constraints(Z, jets, doc)]
     out = {"domain": {"center": _pair(dom.center), "radius": dom.radius}}
     if args.p == 2.0:
@@ -309,6 +310,8 @@ def run(args) -> int:
         print(f"error: cannot parse input: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:
+        if not isinstance(doc, dict):
+            raise MalformedJet(f"the input must be a JSON object, got {type(doc).__name__}")
         body = _COMMANDS[args.command][0](args, doc)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

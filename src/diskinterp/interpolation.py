@@ -11,6 +11,7 @@ interpolation machinery with its Blaschke product bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import perm
 
 import numpy as np
@@ -34,7 +35,7 @@ from .reps import (
     bergman_kernel_deriv,
     rep_as_callable,
 )
-from .schemes import InterpolationScheme, PointSequence
+from .schemes import InterpolationScheme, PointSequence, _touching_pairs
 
 GRAM_CONDITION_LIMIT = 1e12
 # Relative duality gap at which quotient_norm_general returns its value.
@@ -183,33 +184,55 @@ def quotient_norm_p2(domain: PseudoDisk, constraints) -> float:
     return float(_gram_solve(G, [c.value for c in constraints])[1])
 
 
+@lru_cache(maxsize=8)
+def _leggauss(n):
+    """numpy's Gauss-Legendre rule on [-1, 1], read-only.  numpy computes it
+    afresh on every call (about 1.5 ms at n = 64 on a 2-core x86 machine),
+    longer than a disk's whole p = 2 quotient norm."""
+    x, wx = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = wx.flags.writeable = False
+    return x, wx
+
+
+def _rings(radius, x, wx, n_angular):
+    """Radii of the Euclidean disk of the given radius at the Gauss-Legendre
+    abscissae x (weights wx) on [-1, 1], and the weight of each of the
+    n_angular nodes on each ring, for dA."""
+    r = 0.5 * (x + 1.0) * radius
+    return r, 0.5 * radius * wx * r * (2.0 * np.pi / n_angular)
+
+
 def domain_quadrature(domain, n_radial: int = 64, n_angular: int = 256):
     """Quadrature nodes/weights for dA over a pseudohyperbolic disk or a
     union-of-balls domain.
 
     Gauss-Legendre radial x uniform angular per ball; in a union, a node is
     owned by the lowest-index ball containing it, so overlaps count once.
+    A ball's nodes lie strictly inside it (the largest Gauss-Legendre
+    radius is below the ball's), so only the earlier balls that meet it,
+    found by `schemes._touching_pairs`, are tested.
     The single-disk rule integrates |polynomial|^2 exactly for degrees
     below the node counts.
     """
-    if isinstance(domain, PseudoDisk):
-        balls = [domain]
-    else:
-        balls = list(domain.balls)
-    euclid = [pseudo_to_euclidean(b) for b in balls]
-    x, wx = np.polynomial.legendre.leggauss(n_radial)
+    balls = [domain] if isinstance(domain, PseudoDisk) else list(domain.balls)
+    # earlier[k]: the balls before ball k that meet it
+    earlier = [[] for _ in balls]
+    if len(balls) > 1:
+        pairs = _touching_pairs(np.array([b.center for b in balls], dtype=complex),
+                                np.array([b.radius for b in balls]))
+        for i, j in zip(*pairs):
+            earlier[max(i, j)].append(balls[min(i, j)])
+    x, wx = _leggauss(n_radial)
+    ang = 2.0 * np.pi * np.arange(n_angular) / n_angular
     all_nodes = []
     all_weights = []
-    for k, e in enumerate(euclid):
-        r = 0.5 * (x + 1.0) * e.radius
-        wr = 0.5 * e.radius * wx * r
-        ang = 2.0 * np.pi * np.arange(n_angular) / n_angular
-        wa = 2.0 * np.pi / n_angular
+    for e, before in zip((pseudo_to_euclidean(b) for b in balls), earlier):
+        r, w = _rings(e.radius, x, wx, n_angular)
         nodes = e.center + r[:, None] * np.exp(1j * ang[None, :])
-        weights = np.broadcast_to((wr * wa)[:, None], nodes.shape).copy()
-        if len(balls) > 1:
+        weights = np.broadcast_to(w[:, None], nodes.shape).copy()
+        if before:
             own = np.ones(nodes.shape, dtype=bool)
-            for k2, b2 in enumerate(balls[:k]):
+            for b2 in before:
                 d = np.abs((nodes - b2.center) / (1.0 - np.conj(b2.center) * nodes))
                 own &= d >= b2.radius
             weights[~own] = 0.0
@@ -236,29 +259,93 @@ def _lp_norm(u, weights, p):
     return top * float((weights * (a / top) ** p).sum()) ** (1.0 / p)
 
 
+class _DenseMap:
+    """t -> M t into values at the quadrature nodes, M a dense node x
+    coordinate matrix (on a union of balls)."""
+
+    def __init__(self, M):
+        self.M = M
+
+    def values(self, t):
+        return self.M @ t
+
+    def adjoint(self, y):
+        """M^H y."""
+        return np.conj(np.conj(y) @ self.M)
+
+    def forms(self, S, D):
+        """(M^H diag(S) M, M^T diag(D) M), assembled in node chunks."""
+        m = self.M.shape[1]
+        A = np.zeros((m, m), dtype=complex)
+        B = np.zeros((m, m), dtype=complex)
+        for lo in range(0, len(S), _NODE_CHUNK):
+            Mc = self.M[lo:lo + _NODE_CHUNK]
+            A += Mc.conj().T @ (S[lo:lo + _NODE_CHUNK, None] * Mc)
+            B += Mc.T @ (D[lo:lo + _NODE_CHUNK, None] * Mc)
+        return A, B
+
+
+class _RingMap:
+    """t -> Phi X t at the nodes of a disk's quadrature, n_t nodes on each
+    ring, without forming Phi: basis function k of Phi is
+    x_j^modes[k] / nu[k] e^(i modes[k] theta) at angle theta of ring j, so
+    each operation is one FFT per ring."""
+
+    def __init__(self, x, nu, modes, n_t, X):
+        self.x, self.nu, self.modes, self.n_t, self.X = x, nu, modes, n_t, X
+        self.P = x[:, None] ** modes / nu
+
+    def values(self, t):
+        F = np.zeros((len(self.x), self.n_t), dtype=complex)
+        F[:, self.modes] = self.P * (self.X @ t)
+        return np.fft.ifft(F, axis=1, norm="forward").ravel()
+
+    def adjoint(self, y):
+        """(Phi X)^H y."""
+        Y = np.fft.fft(y.reshape(len(self.x), self.n_t), axis=1)[:, self.modes]
+        return self.X.conj().T @ (self.P * Y).sum(axis=0)
+
+    def forms(self, S, D):
+        """((Phi X)^H diag(S) Phi X, (Phi X)^T diag(D) Phi X).
+
+        Entry (k, l) of the first sums P_jk P_jl = x_j^(k+l) / (nu_k nu_l)
+        against the FFT of S on ring j at k - l, of the second against the
+        FFT of D at -(k + l): both come from sums over the rings of
+        x_j^a times one FFT coefficient, a = k + l."""
+        k, n = self.modes, self.n_t
+        a = np.arange(2 * k[-1] + 1)
+        xa = self.x[:, None] ** a
+        # S is real, so its FFT at n - i is the conjugate of that at i
+        i = (a - k[-1]) % n
+        Sh = np.fft.rfft(S.reshape(len(self.x), n), axis=1)[:, np.minimum(i, n - i)]
+        Sh = np.where(i > n - i, np.conj(Sh), Sh)
+        Dh = np.fft.fft(D.reshape(len(self.x), n), axis=1)[:, -a % n]
+        kk, nn = k[:, None] + k[None, :], np.outer(self.nu, self.nu)
+        A = (xa.T @ Sh)[kk, k[:, None] - k[None, :] + k[-1]] / nn
+        B = (xa * Dh).sum(axis=0)[kk] / nn
+        return self.X.conj().T @ A @ self.X, self.X.T @ B @ self.X
+
+
 def _newton_system(u, M, weights, p, delta):
     """Gradient and Hessian of sum_i w_i (|u_i|^2 + delta^2)^(p/2) in the
-    real unknowns (Re t, Im t) of u = b + M t, assembled in node chunks.
+    real unknowns (Re t, Im t) of u = b + M t.
 
     Each node's 2 x 2 Hessian in u has the radial and tangential
-    eigenvalues p (p-1) |u|^(p-2) and p |u|^(p-2) (smoothed when delta > 0);
-    rotating the rows of M by the phase of u separates the two directions.
+    eigenvalues rad = p (p-1) |u|^(p-2) and tang = p |u|^(p-2) (smoothed
+    when delta > 0), so a step du = M t adds the quadratic form
+    sum S |du|^2 + Re(D du^2), S = (rad + tang)/2 and D = (rad - tang)/2
+    conj(u)^2/|u|^2.  With A = M^H S M and B = M^T D M the real Hessian is
+    [[A + B, -Ai - Bi], [Ai - Bi, A - B]], real parts unsubscripted.
     """
-    m = M.shape[1]
-    g = np.zeros(2 * m)
-    H = np.zeros((2 * m, 2 * m))
-    for lo in range(0, len(u), _NODE_CHUNK):
-        uc, wc = u[lo:lo + _NODE_CHUNK], weights[lo:lo + _NODE_CHUNK]
-        a2 = np.abs(uc) ** 2
-        rho = a2 + delta * delta
-        tang = wc * p * rho ** (0.5 * p - 1.0)
-        rad = tang * ((p - 1.0) * a2 + delta * delta) / rho if delta else (p - 1.0) * tang
-        R = np.exp(-1j * np.angle(uc))[:, None] * M[lo:lo + _NODE_CHUNK]
-        Jr = np.hstack([R.real, -R.imag])  # radial part of M dt
-        Jt = np.hstack([R.imag, R.real])  # tangential part
-        g += Jr.T @ (tang * np.sqrt(a2))
-        H += Jr.T @ (rad[:, None] * Jr) + Jt.T @ (tang[:, None] * Jt)
-    return g, H
+    a2 = np.abs(u) ** 2
+    rho = a2 + delta * delta
+    tang = weights * p * rho ** (0.5 * p - 1.0)
+    rad = tang * ((p - 1.0) * a2 + delta * delta) / rho if delta else (p - 1.0) * tang
+    A, B = M.forms(0.5 * (rad + tang),
+                   0.5 * (rad - tang) / np.where(a2 > 0.0, a2, 1.0) * np.conj(u) ** 2)
+    v = M.adjoint(tang * u)
+    H = np.block([[A.real + B.real, -A.imag - B.imag], [A.imag - B.imag, A.real - B.real]])
+    return np.concatenate([v.real, v.imag]), H
 
 
 def _holder_bracket(u, b, M, weights, p, delta):
@@ -272,7 +359,7 @@ def _holder_bracket(u, b, M, weights, p, delta):
     at the minimiser; the smoothing keeps k right where u vanishes.
     """
     k = u * (np.abs(u) ** 2 + delta * delta) ** (0.5 * p - 1.0)
-    k -= M @ np.conj(np.conj(weights * k) @ M)
+    k -= M.values(M.adjoint(weights * k))
     kq = _lp_norm(k, weights, np.inf if p == 1.0 else p / (p - 1.0))
     lower = abs(complex(np.vdot(k, weights * b))) / kq if kq > 0.0 else 0.0
     return _lp_norm(u, weights, p), lower
@@ -286,15 +373,50 @@ def _tsqr_r(A):
     return Rs[0] if len(Rs) == 1 else np.linalg.qr(np.vstack(Rs), mode="r")
 
 
-def _basis_constraints(domain, points, orders, basis_size, grid, with_q):
-    """The constraint matrix C in quotient_norm_general's orthonormal basis.
+def _rank(sv, rows, basis_size):
+    """Which singular values sv to keep: those above eps * max(rows,
+    basis_size) of the largest, as numpy's lstsq keeps them."""
+    return sv > sv.max() * np.finfo(float).eps * max(rows, basis_size)
 
-    Returns (C, Q, Ur, weights).  The weighted scaled monomials at the
-    owned nodes factor as Q R; Q @ Ur is the orthonormal basis times
-    sqrt(weights) at the nodes.  Q is formed only when `with_q`; otherwise
-    R comes from the blocked R-only QR and Q is None.
+
+def _disk_constraints(e, points, orders, basis_size, grid, with_span):
+    """_basis_constraints on the Euclidean disk e, in closed form.
+
+    The scaled monomials ((z - c)/s)^k about its centre are orthogonal in
+    the quadrature inner product: on each ring their angular sums are sums
+    of roots of unity, which vanish for 0 < |k - k'| < n_t.  Divided by
+    their quadrature norms nu_k, nu_k^2 = n_t sum_j w_j (r_j/s)^(2k), they
+    are orthonormal to rounding with no QR, and nu holds the singular
+    values.  s is the largest Gauss-Legendre radius.
+    """
+    n_r, n_t = grid
+    r, w = _rings(e.radius, *_leggauss(n_r), n_t)
+    s = float(r.max())
+    powers = (r / s)[:, None] ** np.arange(basis_size)
+    nu = np.sqrt(n_t * (w @ powers ** 2))
+    modes = np.flatnonzero(_rank(nu, n_r * n_t, basis_size))
+    C = _constraint_matrix(points, orders, e.center, s, basis_size)[:, modes] / nu[modes]
+    if not with_span:
+        return C, None, None
+    return C, lambda X: _RingMap(r / s, nu[modes], modes, n_t, X), np.repeat(w, n_t)
+
+
+def _basis_constraints(domain, points, orders, basis_size, grid, with_span):
+    """The constraint matrix C in quotient_norm_general's orthonormal basis
+    Phi of the scaled monomials.
+
+    Returns (C, span, weights).  span(X) is the map t -> Phi X t into the
+    values at the quadrature nodes that carry weight, whose weights are
+    `weights`; both are None unless `with_span`.  A disk has the closed
+    form of _disk_constraints.  On a union of balls the weighted scaled
+    monomials at the owned nodes factor as Q R, and Q @ Ur is Phi times
+    sqrt(weights) at the nodes; without `with_span`, R comes from the
+    blocked R-only QR and Q is not formed.
     """
     balls = [domain] if isinstance(domain, PseudoDisk) else list(domain.balls)
+    if len(balls) == 1:
+        return _disk_constraints(pseudo_to_euclidean(balls[0]), points, orders, basis_size,
+                                 grid, with_span)
     center = np.mean([pseudo_to_euclidean(b).center for b in balls])
     nodes, weights = domain_quadrature(domain, *grid)
     owned = weights > 0.0
@@ -308,7 +430,7 @@ def _basis_constraints(domain, points, orders, basis_size, grid, with_q):
     for k in range(1, basis_size):
         np.multiply(A[:, k - 1], x, out=A[:, k])
     # R alone carries the singular values and right singular vectors of A
-    if with_q:
+    if with_span:
         from scipy.linalg import qr
 
         Q, R = qr(A, mode="economic", overwrite_a=True, check_finite=False)
@@ -316,10 +438,13 @@ def _basis_constraints(domain, points, orders, basis_size, grid, with_q):
         Q, R = None, _tsqr_r(A)
     del A
     Ur, sa, Wh = np.linalg.svd(R)
-    r = int((sa > sa[0] * np.finfo(float).eps * max(len(x), basis_size)).sum())
+    r = int(_rank(sa, len(x), basis_size).sum())
     T = Wh[:r].conj().T / sa[:r]  # monomial coefficients of the orthonormal basis
     C = _constraint_matrix(points, orders, center, s, basis_size) @ T
-    return C, Q, Ur[:, :r], weights
+    if not with_span:
+        return C, None, None
+    sw = np.sqrt(weights)
+    return C, lambda X: _DenseMap((Q @ (Ur[:, :r] @ X)) / sw[:, None]), weights
 
 
 def _min_norm_coeffs(C, W):
@@ -345,19 +470,25 @@ def quotient_norm_general(
     < basis_size meeting the constraints, on the `domain_quadrature` grid.
 
     Works in the scaled basis ((z - c)/s)^k, c the mean of the balls'
-    Euclidean centres and s the largest |node - c| over nodes with weight.
-    A Householder QR of the weighted basis values gives functions
-    orthonormal in the quadrature inner product to rounding; directions
-    whose singular value is below eps * (node count) of the largest, which
-    float64 cannot resolve, are dropped, as numpy's lstsq drops them.  In
-    that basis the p = 2 minimiser is closed form, and at p = 2 its norm is
-    returned, with R from a blocked R-only QR and no Q.  Otherwise damped
+    Euclidean centres and s the largest |node - c| over nodes with weight,
+    made orthonormal in the quadrature inner product to rounding: on a disk
+    by dividing each monomial by its quadrature norm (the monomials are
+    orthogonal there), on a union of balls by a Householder QR of the
+    weighted basis values.  Directions whose singular value is below
+    eps * (node count) of the largest, which float64 cannot resolve, are
+    dropped, as numpy's lstsq drops them.  In that basis the p = 2
+    minimiser is closed form, and at p = 2 its norm is returned (on a
+    union with R from a blocked R-only QR and no Q).  Otherwise damped
     Newton runs from it on the real and imaginary parts of the null-space
     coordinates (on the smoothed (|g|^2 + d^2)^(p/2), d shrinking towards
     0, when p < 2) and the value is returned once the relative gap between
     the objective and a Hölder lower bound is at most GAP_TOL: it is then
-    certified to GAP_TOL for the discretised problem.  Raises
-    NonConvergence if the gap is still open after NEWTON_MAX_ITER steps.
+    certified to GAP_TOL for the discretised problem.  On a disk every
+    product with the null-space basis is one FFT per ring of nodes
+    (_RingMap), so no node x basis matrix is formed.  Raises
+    NonConvergence if the gap is still open after NEWTON_MAX_ITER steps,
+    and ValueError if basis_size exceeds the angular node count, past which
+    a ring cannot keep the monomials orthogonal.
     """
     constraints = list(constraints)
     if not constraints:
@@ -366,22 +497,23 @@ def quotient_norm_general(
         raise ValueError(f"general quotient norm requires p >= 1, got {p}")
     if basis_size < len(constraints):
         raise ValueError("basis_size must be >= number of constraints")
+    if basis_size > grid[1]:
+        raise ValueError(f"basis_size must be <= the angular node count {grid[1]}")
     w = np.array([c.value for c in constraints], dtype=complex)
     if not w.any():
         return 0.0
-    C, Q, Ur, weights = _basis_constraints(
+    C, span, weights = _basis_constraints(
         domain, [c.point for c in constraints], [c.order for c in constraints],
-        basis_size, grid, with_q=p != 2.0,
+        basis_size, grid, with_span=p != 2.0,
     )
     c2, null = _min_norm_coeffs(C, w[:, None])
     if p == 2.0:
         return float(np.linalg.norm(c2))
-    sw = np.sqrt(weights)
-    b = (Q @ (Ur @ c2[:, 0])) / sw  # the p = 2 minimiser at the nodes
-    M = (Q @ (Ur @ null.conj().T)) / sw[:, None]
-    del Q
+    b = span(c2).values(np.ones(1))  # the p = 2 minimiser at the nodes
+    M = span(null.conj().T)
+    del span  # on a union, frees Q
 
-    m = M.shape[1]
+    m = len(null)
     delta = 0.1 * _lp_norm(b, weights, 2.0) / np.sqrt(weights.sum()) if p < 2.0 else 0.0
     u = b
 
@@ -396,7 +528,7 @@ def quotient_norm_general(
             break
         g, H = _newton_system(u, M, weights, p, delta)
         x = np.linalg.solve(H, -g)
-        du = M @ (x[:m] + 1j * x[m:])
+        du = M.values(x[:m] + 1j * x[m:])
         f0, slope = objective(u), float(g @ x)
         step = 1.0
         # Armijo backtracking while the predicted decrease is above the
@@ -478,7 +610,7 @@ class _ClusterForm:
             self.G, self.C = _gram(points, orders, e.center, e.radius), None
         else:
             self.G, self.C = None, _basis_constraints(
-                domain, points, orders, max(32, len(points)), QUAD_GRID, with_q=False
+                domain, points, orders, max(32, len(points)), QUAD_GRID, with_span=False
             )[0]
 
     def norms(self, W):

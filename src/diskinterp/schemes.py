@@ -551,13 +551,28 @@ def check_admissibility(s: InterpolationScheme) -> AdmissibilityReport:
     """Measure R, eps, delta, B from the scheme data and compare against the
     declared constants.  Failures are reported, never raised."""
     tol = 1e-9
-    meas_R = max(d.diameter() for d in s.domains)
     # inner radius: a cluster point at psi-distance t from the centre of a
     # ball of radius r sees (r - t)/(1 - r t) of room to that ball's edge.
     # The best ball per point, least over points, is a lower bound: exact
     # on one-ball domains, <= 0 if a point lies outside its domain.
-    meas_eps = np.inf
+    # One-ball domains are measured at once, each point against its own
+    # ball, and a ball's diameter is hyp_sum(r, r); the others one by one.
+    meas_R, meas_eps = 0.0, np.inf
+    disks = [k for k, d in enumerate(s.domains) if d.is_disk]
+    if disks:
+        r = np.array([s.domains[k].radius for k in disks])
+        meas_R = float(((r + r) / (1.0 + r * r)).max())
+        size = [len(s.clusters[k]) for k in disks]
+        c = np.repeat([s.domains[k].balls[0].center for k in disks], size)
+        r = np.repeat(r, size)
+        z = s.sequence.array[np.concatenate([s.clusters[k].members for k in disks])]
+        t = np.abs((z - c) / (1.0 - np.conj(c) * z))
+        t[z == c] = 0.0
+        meas_eps = float(((r - t) / (1.0 - r * t)).min())
     for k, d in enumerate(s.domains):
+        if d.is_disk:
+            continue
+        meas_R = max(meas_R, d.diameter())
         t = psi_matrix(s.cluster_points(k), d.centers)
         room = (d.radii - t) / (1.0 - d.radii * t)
         meas_eps = min(meas_eps, float(room.max(axis=1).min()))

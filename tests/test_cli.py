@@ -112,6 +112,20 @@ def test_exit_code_parse_error(tmp_path):
     assert main(["scheme", inp, "--epsilon", "0.1"]) == 2
 
 
+@pytest.mark.parametrize("command", ["scheme", "dbar-check"])
+def test_top_level_that_is_not_an_object_is_a_parse_error(tmp_path, command, capsys):
+    inp = write_doc(tmp_path, "in.json", 5)
+    assert main([command, inp]) == 2
+    assert "JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("domain", [{"center": 0.0}, {"radius": 0.5}, [0.0, 0.5]])
+def test_quotient_domain_without_center_or_radius_is_a_parse_error(tmp_path, domain, capsys):
+    inp = write_doc(tmp_path, "in.json", {"points": [0.0], "values": [1.0], "domain": domain})
+    assert main(["quotient", inp]) == 2
+    assert "'domain' {center, radius}" in capsys.readouterr().err
+
+
 def test_exit_code_precondition(tmp_path):
     # epsilon so large the merged component's diameter overflows
     inp = write_doc(tmp_path, "in.json", {"points": [-0.99, 0.99]})

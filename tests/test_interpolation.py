@@ -1,4 +1,9 @@
+import functools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -202,19 +207,9 @@ def _cgs2(A):
     return Q, R
 
 
-def general_p_bracket(domain, constraints, p, degree, grid):
-    """(lower, upper) for the discretised general-p quotient norm, computed
-    without the library's solver on the library's quadrature, in long
-    double and without forming a Gram matrix, whose condition passes 1e16
-    on long ball chains.
-
-    sqrt(w) V = Q R for the monomials V about the mean of the balls'
-    Euclidean centres; the constraints on coefficients y in the basis Q
-    are C R^-1 y = values, with minimum-norm solution y2.  upper: the L^p
-    norm of the p = 2 minimiser g2 = Q y2 / sqrt(w), the exact value at
-    p = 2.  lower: Hölder with the dual vector k = |g2|^(p-2) g2, projected
-    onto the annihilator of the polynomials that vanish on the constraints.
-    """
+@functools.lru_cache(maxsize=4)
+def _long_double_p2(domain, constraints, degree, grid):
+    """(weights, Q, P, sw, g2) of general_p_bracket, independent of p."""
     ld, cld = np.longdouble, np.clongdouble
     nodes, weights = domain_quadrature(domain, *grid)
     keep = weights > 0.0
@@ -243,7 +238,23 @@ def general_p_bracket(domain, constraints, p, degree, grid):
     z = np.zeros(len(constraints), dtype=cld)  # S^H z = w
     for i in range(len(constraints)):
         z[i] = (w[i] - S[:i, i].conj() @ z[:i]) / S[i, i].conj()
-    g2 = Q @ (P @ z) / sw
+    return weights, Q, P, sw, Q @ (P @ z) / sw
+
+
+def general_p_bracket(domain, constraints, p, degree, grid):
+    """(lower, upper) for the discretised general-p quotient norm, computed
+    without the library's solver on the library's quadrature, in long
+    double and without forming a Gram matrix, whose condition passes 1e16
+    on long ball chains.
+
+    sqrt(w) V = Q R for the monomials V about the mean of the balls'
+    Euclidean centres; the constraints on coefficients y in the basis Q
+    are C R^-1 y = values, with minimum-norm solution y2.  upper: the L^p
+    norm of the p = 2 minimiser g2 = Q y2 / sqrt(w), the exact value at
+    p = 2.  lower: Hölder with the dual vector k = |g2|^(p-2) g2, projected
+    onto the annihilator of the polynomials that vanish on the constraints.
+    """
+    weights, Q, P, sw, g2 = _long_double_p2(domain, tuple(constraints), degree, grid)
     k = np.abs(g2) ** (p - 2.0) * g2
     kt = Q.conj().T @ (sw * k)  # remove the null-space part, (I - P P^H) Q^H k
     k -= Q @ (kt - P @ (P.conj().T @ kt)) / sw
@@ -324,6 +335,127 @@ def test_general_p_long_chain():
         if p == 2.0:
             assert got == pytest.approx(upper, rel=1e-9)
         assert lower * (1.0 - 1e-9) <= got <= upper * (1.0 + 1e-9)
+
+
+def _all_pairs_quadrature(domain, n_radial, n_angular):
+    """domain_quadrature's rule with each ball's nodes tested against every
+    earlier ball."""
+    x, wx = np.polynomial.legendre.leggauss(n_radial)
+    ang = 2.0 * np.pi * np.arange(n_angular) / n_angular
+    all_nodes, all_weights = [], []
+    for k, ball in enumerate(domain.balls):
+        e = pseudo_to_euclidean(ball)
+        r = 0.5 * (x + 1.0) * e.radius
+        wr = 0.5 * e.radius * wx * r
+        nodes = e.center + r[:, None] * np.exp(1j * ang[None, :])
+        weights = np.broadcast_to((wr * (2.0 * np.pi / n_angular))[:, None], nodes.shape).copy()
+        own = np.ones(nodes.shape, dtype=bool)
+        for b2 in domain.balls[:k]:
+            own &= np.abs((nodes - b2.center) / (1.0 - np.conj(b2.center) * nodes)) >= b2.radius
+        weights[~own] = 0.0
+        all_nodes.append(nodes.ravel())
+        all_weights.append(weights.ravel())
+    return np.concatenate(all_nodes), np.concatenate(all_weights)
+
+
+def test_domain_quadrature_matches_all_pairs_ownership():
+    # only earlier balls that meet a ball are tested against its nodes; the
+    # rule must be bit for bit the one that tests every earlier ball
+    chain = build_minimal_scheme(
+        PointSequence(0.5 * np.exp(1j * np.linspace(0.0, 1.2, 20))), 0.05).domains[0]
+    # a closed ring of balls: the last meets the first, far back in order
+    ring = Domain(tuple(PseudoDisk(0.4 * np.exp(2j * np.pi * k / 9), 0.2) for k in range(9)))
+    blob = Domain(tuple(PseudoDisk(z, 0.2) for z in (0.0, 0.05, 0.1j, -0.08, 0.3, 0.04 - 0.06j)))
+    for domain in (chain, ring, blob):
+        for grid in ((24, 96), (64, 256)):
+            nodes, weights = domain_quadrature(domain, *grid)
+            want_nodes, want_weights = _all_pairs_quadrature(domain, *grid)
+            assert np.array_equal(nodes, want_nodes)
+            assert np.array_equal(weights, want_weights)
+        assert (weights == 0.0).any()
+
+
+def _disk_jets(center, radius):
+    return [JetConstraint(moebius(center, -0.2 * radius), 0, 1.0),
+            JetConstraint(moebius(center, -0.2 * radius), 1, 0.5j),
+            JetConstraint(moebius(center, 0.3j * radius), 0, -0.7 + 0.2j)]
+
+
+def test_disk_basis_is_orthonormal():
+    # the disk basis ((z - c)/s)^k / nu_k, evaluated through its ring FFTs,
+    # is orthonormal in domain_quadrature's inner product
+    dom = PseudoDisk(0.6 * np.exp(2.0j), 0.4)
+    cons = _disk_jets(dom.center, dom.radius)
+    C, span, weights = interpolation._basis_constraints(
+        dom, [c.point for c in cons], [c.order for c in cons], 32, (64, 256), True)
+    nodes, quad_weights = domain_quadrature(dom, 64, 256)
+    assert np.array_equal(weights, quad_weights)
+    basis = span(np.eye(C.shape[1]))
+    Phi = np.column_stack([basis.values(col) for col in np.eye(C.shape[1])])
+    assert Phi.shape == (64 * 256, 32)
+    gram = Phi.conj().T @ (weights[:, None] * Phi)
+    assert np.abs(gram - np.eye(32)).max() <= 1e-13
+    # and it is the scaled monomials at the quadrature's nodes
+    c = pseudo_to_euclidean(dom).center
+    x = (nodes - c) / np.abs(nodes - c).max()
+    mono = x[:, None] ** np.arange(32)
+    nu = np.sqrt(weights @ np.abs(mono) ** 2)
+    assert np.abs(Phi - mono / nu).max() <= 1e-12 * np.abs(Phi).max()
+
+
+def test_disk_general_p_within_long_double_bracket():
+    # library defaults (32 monomials, 64 x 256 nodes) on a disk near the rim
+    # with a jet
+    center = 0.9 * np.exp(0.3j)
+    dom = PseudoDisk(center, 0.3)
+    cons = _disk_jets(center, 0.3)
+    for p in (1.0, 1.5, 3.0, 4.0):
+        got = quotient_norm_general(dom, cons, p)
+        lower, upper = general_p_bracket(dom, cons, p, 32, (64, 256))
+        assert lower * (1.0 - 1e-9) <= got <= upper * (1.0 + 1e-9)
+
+
+def test_disk_path_matches_the_dense_path():
+    # a one-ball Domain takes the disk path too; the disk listed twice is a
+    # union whose second ball owns no node, so the dense QR path runs on
+    # the same nodes and must give the same values
+    dom = PseudoDisk(0.3 - 0.5j, 0.45)
+    cons = _disk_jets(dom.center, dom.radius)
+    for p in (1.0, 1.5, 2.0, 3.0):
+        got = quotient_norm_general(dom, cons, p, grid=(32, 128))
+        assert quotient_norm_general(Domain((dom,)), cons, p, grid=(32, 128)) == got
+        dense = quotient_norm_general(Domain((dom, dom)), cons, p, grid=(32, 128))
+        assert got == pytest.approx(dense, rel=1e-12)
+
+
+def test_basis_larger_than_a_ring_is_rejected():
+    dom = PseudoDisk(0.0, 0.5)
+    cons = [JetConstraint(0.1, 0, 1.0)]
+    assert quotient_norm_general(dom, cons, 3.0, basis_size=16, grid=(8, 16)) > 0.0
+    with pytest.raises(ValueError, match="angular"):
+        quotient_norm_general(dom, cons, 3.0, basis_size=17, grid=(8, 16))
+
+
+def test_general_p_on_disks_loads_no_scipy():
+    # singleton clusters and disks take the ring-FFT path, which needs no
+    # QR and so no scipy
+    src = str(Path(interpolation.__file__).resolve().parents[1])
+    code = (
+        "import sys\n"
+        "from diskinterp import PointSequence, build_minimal_scheme\n"
+        "from diskinterp.geometry import PseudoDisk\n"
+        "from diskinterp.interpolation import JetConstraint, JetTargets, "
+        "quotient_norm_general, target_norm\n"
+        "s = build_minimal_scheme(PointSequence([0.4, 0.5j, -0.55]), 0.05)\n"
+        "t = JetTargets.values_on_scheme(s, [1.0, 0.7j, -0.5])\n"
+        "assert target_norm(s, t, 3.0) > 0.0\n"
+        "cons = [JetConstraint(0.1, 0, 1.0), JetConstraint(0.1, 1, 0.5j)]\n"
+        "assert quotient_norm_general(PseudoDisk(0.2, 0.4), cons, 1.5) > 0.0\n"
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 # ----------------------------------------------------------- scheme-level API

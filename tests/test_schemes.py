@@ -370,6 +370,33 @@ def test_admissibility_memory_is_bounded():
     assert rep.bounded_density_at_R == 747
 
 
+def _per_domain_measures(s):
+    """(diameter, inner radius) measured one domain at a time."""
+    meas_eps = np.inf
+    for k, d in enumerate(s.domains):
+        t = psi_matrix(s.cluster_points(k), d.centers)
+        room = (d.radii - t) / (1.0 - d.radii * t)
+        meas_eps = min(meas_eps, float(room.max(axis=1).min()))
+    return max(d.diameter() for d in s.domains), meas_eps
+
+
+def test_admissibility_matches_the_per_domain_loop():
+    # one-ball domains are measured in array operations; the report must
+    # equal the domain-by-domain measurement exactly
+    rng = np.random.default_rng(0)
+    z = 0.9 * np.sqrt(rng.uniform(size=2000)) * np.exp(2j * np.pi * rng.uniform(size=2000))
+    cloud = build_minimal_scheme(PointSequence(z), 0.02)
+    assert len(cloud.clusters) == 956
+    mixed_points = PointSequence([0.0, 0.03, 0.03, 0.5, 0.5j, 0.52j, -0.6, 0.7 - 0.2j, 0.7 - 0.2j])
+    mixed = build_minimal_scheme(mixed_points, 0.05)
+    assert {len(d.balls) for d in mixed.domains} == {1, 2}
+    # one ball per cluster with radii that differ from cluster to cluster
+    maximal = build_maximal_scheme(mixed_points, 0.05)
+    for s in (cloud, mixed, maximal):
+        rep = check_admissibility(s)
+        assert (rep.measured_diameter, rep.measured_inner_radius) == _per_domain_measures(s)
+
+
 def test_overlap_bound_disjoint():
     s = build_minimal_scheme(PointSequence([0.0, 0.8]), 0.05)
     assert overlap_bound(s) == 1
