@@ -64,13 +64,19 @@ def _pair(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
+def _list(doc: dict, key: str) -> list:
+    """The list doc[key]; MalformedJet if it is missing or not a list."""
+    value = doc.get(key)
+    if not isinstance(value, list):
+        raise MalformedJet(f"the input needs a '{key}' list")
+    return value
+
+
 def parse_sequence(doc: dict):
     """Points (with multiplicity by repetition) and optional jet triples
     from a JSON-shaped document."""
-    if "points" not in doc:
-        raise MalformedJet("document must contain a 'points' list")
     pts = []
-    for i, entry in enumerate(doc["points"]):
+    for i, entry in enumerate(_list(doc, "points")):
         try:
             pts.append(_c(entry))
         except Exception as exc:
@@ -85,7 +91,7 @@ def parse_sequence(doc: dict):
     jets = None
     if "jets" in doc:
         jets = []
-        for j in doc["jets"]:
+        for j in _list(doc, "jets"):
             try:
                 idx = int(j["point_index"])
                 order = int(j.get("order", 0))
@@ -105,7 +111,7 @@ def _constraints(Z: PointSequence, jets, doc) -> list[tuple[int, JetConstraint]]
         return [(i, JetConstraint(Z[i], order, v)) for i, order, v in jets]
     if "values" not in doc:
         raise MalformedJet("the input needs 'jets' or 'values'")
-    values = [_c(v) for v in doc["values"]]
+    values = [_c(v) for v in _list(doc, "values")]
     if len(values) != len(Z):
         raise MalformedJet(f"one value per point required: {len(Z)} points, {len(values)} values")
     seen: dict[complex, int] = {}
@@ -209,7 +215,11 @@ def _cmd_quotient(args, doc: dict) -> dict:
     domain = doc.get("domain")
     if not isinstance(domain, dict) or not {"center", "radius"} <= domain.keys():
         raise MalformedJet("quotient needs a 'domain' {center, radius} entry")
-    dom = PseudoDisk(_c(domain["center"]), float(domain["radius"]))
+    try:
+        radius = float(domain["radius"])
+    except (TypeError, ValueError) as exc:
+        raise MalformedJet(f"bad domain radius {domain['radius']!r}") from exc
+    dom = PseudoDisk(_c(domain["center"]), radius)
     cons = [con for _, con in _constraints(Z, jets, doc)]
     out = {"domain": {"center": _pair(dom.center), "radius": dom.radius}}
     if args.p == 2.0:
@@ -238,9 +248,7 @@ def _cmd_dbar_check(args, doc: dict) -> dict:
 
 def _cmd_o_weight(args, doc: dict) -> dict:
     Z, _ = parse_sequence(doc)
-    if "coefficients" not in doc:
-        raise MalformedJet("o-weight needs a 'coefficients' list")
-    coeffs = [_c(v) for v in doc["coefficients"]]
+    coeffs = [_c(v) for v in _list(doc, "coefficients")]
     if len(coeffs) != len(Z):
         raise MalformedJet("one coefficient per point required")
     return {

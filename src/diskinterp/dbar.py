@@ -21,8 +21,8 @@ from .errors import (
     QuadratureDivergence,
     StencilOutOfDomain,
 )
-from .geometry import PseudoDisk, as_complex, pseudo_to_euclidean
-from .grids import GridFunction, PolarGridSpec
+from .geometry import PseudoDisk, as_complex, euclidean_images, moebius_many, pseudo_to_euclidean
+from .grids import GridFunction, PolarGridSpec, disk_rule
 from .reps import rep_as_callable
 from .schemes import PointSequence
 
@@ -104,8 +104,7 @@ def log_kernel_smooth(
     t, wt = _log_kernel_radial(r_star, n_r)
     ang = 2.0 * np.pi * np.arange(n_t) / n_t
     zeta = t[:, None] * np.exp(1j * ang[None, :])
-    w = (zv - zeta) / (1.0 - np.conj(zv) * zeta)  # transported nodes
-    vals = np.asarray(fun(w), dtype=float)
+    vals = np.asarray(fun(moebius_many(zv, zeta)), dtype=float)  # at the transported nodes
     if not np.isfinite(vals).all():
         raise QuadratureDivergence("integrand not finite on the smoothing grid")
     integral = float((wt[:, None] * vals).sum() * (2.0 * np.pi / n_t))
@@ -136,12 +135,10 @@ def green_potential_pieces(
     """
     zv = as_complex(z)
     n_r, n_t = grid
-    x, wx = np.polynomial.legendre.leggauss(n_r)
-    t = 0.5 * (x + 1.0)
-    wt = 0.5 * wx * t / (1.0 - t ** 2) ** 2  # radial part of dlambda = t dt dtheta/(1-t^2)^2
+    t, wt = disk_rule(1.0, n_r, n_t)
+    wt = wt[:, None] / (1.0 - t[:, None] ** 2) ** 2  # dlambda = dA / (1 - |w|^2)^2
     ang = 2.0 * np.pi * np.arange(n_t) / n_t
     nodes = t[:, None] * np.exp(1j * ang[None, :])
-    dtheta = 2.0 * np.pi / n_t
 
     lw = np.asarray(laplacian_values(nodes), dtype=float)
     if (lw > 1e-12).any():
@@ -150,19 +147,18 @@ def green_potential_pieces(
     aw = np.abs(nodes)
     # piece 1: log|w| + (1-|w|^2)/2, singular only at the origin
     k1 = np.log(aw) + 0.5 * (1.0 - aw ** 2)
-    i1 = float((wt[:, None] * lw * k1).sum() * dtheta)
+    i1 = float((wt * lw * k1).sum())
     # piece 3: bounded, nonpositive contribution for L <= 0
     k3 = abs(zv) ** 2 * (1.0 - aw ** 2) ** 2 / (
         2.0 * np.abs(1.0 - np.conj(nodes) * zv) ** 2
     )
-    i3 = float((wt[:, None] * lw * k3).sum() * dtheta)
+    i3 = float((wt * lw * k3).sum())
     # piece 2 equals piece 1 after the substitution w -> phi_z(w); dlambda
     # and the pseudohyperbolic modulus are invariant under the transport
-    moved = (zv - nodes) / (1.0 - np.conj(zv) * nodes)
-    lw2 = np.asarray(laplacian_values(moved), dtype=float)
+    lw2 = np.asarray(laplacian_values(moebius_many(zv, nodes)), dtype=float)
     if (lw2 > 1e-12).any():
         raise PositiveLaplacian("invariant Laplacian must be <= 0 everywhere")
-    i2 = float((wt[:, None] * lw2 * k1).sum() * dtheta)
+    i2 = float((wt * lw2 * k1).sum())
 
     if not all(map(np.isfinite, (i1, i2, i3))):
         raise QuadratureDivergence("potential quadrature produced non-finite value")
@@ -330,7 +326,6 @@ def weighted_space_norm(
     total = 0.0
     for ri in rr:
         # one call of the weighted modulus per outer ring
-        disks = [pseudo_to_euclidean(PseudoDisk(ri * np.exp(1j * tj), r)) for tj in tt]
-        m = local_means(weighted, disks, q, grid=(24, 24))
+        m = local_means(weighted, *euclidean_images(ri * np.exp(1j * tt), r), q, grid=(24, 24))
         total += float((m ** p).sum()) * (1.0 - ri ** 2) ** alpha * ri * drho * dth
     return total ** (1.0 / p)

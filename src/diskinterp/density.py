@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyGrid, GridTooCoarse
-from .geometry import PseudoDisk, as_complex, pseudo_to_euclidean
+from .geometry import PseudoDisk, as_complex, psi_array, pseudo_to_euclidean
 from .reps import rep_as_callable
 from .schemes import PointSequence
 
@@ -136,7 +136,7 @@ def estimate_upper_densities(
     rows = max(1, DENSITY_BLOCK // max(1, len(Z)))
     for lo in range(0, len(centers), rows):
         ab = a[lo:lo + rows]
-        w = np.abs((ab - z) / (1.0 - np.conj(ab) * z))
+        w = psi_array(z, ab)
         m = w ** 2
         for i, r in enumerate(radii):
             log = math.log(1.0 / (1.0 - r * r))
@@ -172,17 +172,18 @@ def local_mean(f, z, q, r: float, grid: tuple[int, int] = (64, 64)) -> float:
     if hasattr(f, "nodes_in_euclidean_disk"):
         if f.nodes_in_euclidean_disk(disk.center, disk.radius) < 16:
             raise GridTooCoarse("fewer than 16 grid nodes in the local-mean disk")
-    return float(local_means(rep_as_callable(f), [disk], q, grid)[0])
+    return float(local_means(rep_as_callable(f), [disk.center], [disk.radius], q, grid)[0])
 
 
-def local_means(fun, disks, q, grid: tuple[int, int]) -> np.ndarray:
-    """q-means of |fun| over Euclidean disks by local_mean's midpoint polar
-    rule, with one call of fun on the nodes of all disks."""
+def local_means(fun, centers, radii, q, grid: tuple[int, int]) -> np.ndarray:
+    """q-means of |fun| over the Euclidean disks with the given centre and
+    radius arrays by local_mean's midpoint polar rule, with one call of fun
+    on the nodes of all disks."""
     if not (q == np.inf or q == "inf" or float(q) >= 1.0):
         raise ValueError(f"q must be >= 1 or inf, got {q}")
     n_r, n_t = grid
-    center = np.array([d.center for d in disks])[:, None, None]
-    radius = np.array([d.radius for d in disks])
+    center = np.asarray(centers, dtype=complex)[:, None, None]
+    radius = np.asarray(radii, dtype=float)
     rr = (np.arange(n_r) + 0.5)[None, :] * radius[:, None] / n_r
     tt = 2.0 * np.pi * np.arange(n_t) / n_t
     w = center + rr[:, :, None] * np.exp(1j * tt)[None, None, :]

@@ -96,22 +96,25 @@ def psi(z, w) -> float:
     return abs((zv - wv) / (1.0 - wv.conjugate() * zv))
 
 
+def psi_array(z, w) -> np.ndarray:
+    """Broadcasting psi(z, w) = |(z - w) / (1 - conj(w) z)| over arrays.
+
+    Exactly 0 where z and w are bit-identical: the numerator is 0 and
+    1 - |w|^2 > 0 inside the disk.
+    """
+    z = np.asarray(z, dtype=complex)
+    w = np.asarray(w, dtype=complex)
+    return np.abs((z - w) / (1.0 - np.conj(w) * z))
+
+
 def psi_many(z, points: np.ndarray) -> np.ndarray:
     """Vectorized psi(z, p) for an array of points."""
-    zv = as_complex(z)
-    pts = np.asarray(points, dtype=complex)
-    out = np.abs((zv - pts) / (1.0 - np.conj(pts) * zv))
-    out[pts == zv] = 0.0
-    return out
+    return psi_array(as_complex(z), points)
 
 
 def psi_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise psi between two arrays of points, shape (len(a), len(b))."""
-    a = np.asarray(a, dtype=complex)[:, None]
-    b = np.asarray(b, dtype=complex)[None, :]
-    out = np.abs((a - b) / (1.0 - np.conj(b) * a))
-    out[a == b] = 0.0
-    return out
+    return psi_array(np.asarray(a)[:, None], np.asarray(b)[None, :])
 
 
 def moebius(a, z) -> complex:
@@ -156,15 +159,23 @@ def invariant_area_weight(z) -> float:
     return (1.0 - abs(zv) ** 2) ** -2
 
 
-def pseudo_to_euclidean(d: PseudoDisk) -> EuclideanDisk:
-    """Euclidean disk equal, as a point set, to the pseudohyperbolic one.
+def euclidean_images(centers, radii):
+    """Centres and radii of the Euclidean disks equal, as point sets, to the
+    pseudohyperbolic disks D(centers, radii), elementwise over scalars or
+    arrays:
 
     center = (1 - r^2) c / (1 - r^2 |c|^2),  radius = r (1 - |c|^2) / (1 - r^2 |c|^2).
+
+    |c|^2 is Re(c conj(c)), so scalars stay in plain float arithmetic.
     """
-    c = d.center
-    r = d.radius
-    denom = 1.0 - r ** 2 * abs(c) ** 2
-    return EuclideanDisk((1.0 - r ** 2) * c / denom, r * (1.0 - abs(c) ** 2) / denom)
+    m = (centers * centers.conjugate()).real
+    denom = 1.0 - radii ** 2 * m
+    return (1.0 - radii ** 2) * centers / denom, radii * (1.0 - m) / denom
+
+
+def pseudo_to_euclidean(d: PseudoDisk) -> EuclideanDisk:
+    """Euclidean disk equal, as a point set, to the pseudohyperbolic one."""
+    return EuclideanDisk(*euclidean_images(d.center, d.radius))
 
 
 def hyperbolic_midpoint(a, b) -> complex:

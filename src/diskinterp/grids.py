@@ -1,15 +1,39 @@
-"""Polar grid functions on the unit disk.
+"""Polar grids and quadrature rules on disks.
 
 A GridFunction stores complex samples on a midpoint polar grid of radius
 max_radius < 1: radii r_i = (i + 1/2) dr, angles t_j = j dt.  Cell areas
 r_i dr dt make the node set a midpoint quadrature of the disk.
+`disk_rule` is the Gauss-Legendre x uniform-angle rule for dA on a
+Euclidean disk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+
+
+@lru_cache(maxsize=8)
+def _leggauss(n):
+    """numpy's Gauss-Legendre rule on [-1, 1], read-only.  numpy computes it
+    afresh on every call (about 1.5 ms at n = 64 on a 2-core x86 machine),
+    longer than a disk's whole p = 2 quotient norm."""
+    x, wx = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = wx.flags.writeable = False
+    return x, wx
+
+
+def disk_rule(radius: float, n_radial: int, n_angular: int):
+    """Rule for dA on the Euclidean disk of the given radius about 0: the
+    radii of its n_radial Gauss-Legendre rings, and the weight of each of
+    the n_angular equally spaced nodes on each ring.  It integrates
+    |polynomial|^2 exactly for degrees below the node counts; dividing the
+    weights by (1 - r^2)^2 gives the rule for the invariant measure."""
+    x, wx = _leggauss(n_radial)
+    r = 0.5 * (x + 1.0) * radius
+    return r, 0.5 * radius * wx * r * (2.0 * np.pi / n_angular)
 
 
 @dataclass(frozen=True)

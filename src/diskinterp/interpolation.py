@@ -11,7 +11,6 @@ interpolation machinery with its Blaschke product bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import perm
 
 import numpy as np
@@ -27,7 +26,8 @@ from .errors import (
     QuadratureDivergence,
     SingularGram,
 )
-from .geometry import PseudoDisk, as_complex, psi, pseudo_to_euclidean
+from .geometry import PseudoDisk, as_complex, psi, psi_array, pseudo_to_euclidean
+from .grids import disk_rule
 from .reps import (
     AnalyticFunctionRep,
     BlaschkeLagrangeRep,
@@ -184,24 +184,6 @@ def quotient_norm_p2(domain: PseudoDisk, constraints) -> float:
     return float(_gram_solve(G, [c.value for c in constraints])[1])
 
 
-@lru_cache(maxsize=8)
-def _leggauss(n):
-    """numpy's Gauss-Legendre rule on [-1, 1], read-only.  numpy computes it
-    afresh on every call (about 1.5 ms at n = 64 on a 2-core x86 machine),
-    longer than a disk's whole p = 2 quotient norm."""
-    x, wx = np.polynomial.legendre.leggauss(n)
-    x.flags.writeable = wx.flags.writeable = False
-    return x, wx
-
-
-def _rings(radius, x, wx, n_angular):
-    """Radii of the Euclidean disk of the given radius at the Gauss-Legendre
-    abscissae x (weights wx) on [-1, 1], and the weight of each of the
-    n_angular nodes on each ring, for dA."""
-    r = 0.5 * (x + 1.0) * radius
-    return r, 0.5 * radius * wx * r * (2.0 * np.pi / n_angular)
-
-
 def domain_quadrature(domain, n_radial: int = 64, n_angular: int = 256):
     """Quadrature nodes/weights for dA over a pseudohyperbolic disk or a
     union-of-balls domain.
@@ -222,19 +204,17 @@ def domain_quadrature(domain, n_radial: int = 64, n_angular: int = 256):
                                 np.array([b.radius for b in balls]))
         for i, j in zip(*pairs):
             earlier[max(i, j)].append(balls[min(i, j)])
-    x, wx = _leggauss(n_radial)
     ang = 2.0 * np.pi * np.arange(n_angular) / n_angular
     all_nodes = []
     all_weights = []
     for e, before in zip((pseudo_to_euclidean(b) for b in balls), earlier):
-        r, w = _rings(e.radius, x, wx, n_angular)
+        r, w = disk_rule(e.radius, n_radial, n_angular)
         nodes = e.center + r[:, None] * np.exp(1j * ang[None, :])
         weights = np.broadcast_to(w[:, None], nodes.shape).copy()
         if before:
             own = np.ones(nodes.shape, dtype=bool)
             for b2 in before:
-                d = np.abs((nodes - b2.center) / (1.0 - np.conj(b2.center) * nodes))
-                own &= d >= b2.radius
+                own &= psi_array(nodes, b2.center) >= b2.radius
             weights[~own] = 0.0
         all_nodes.append(nodes.ravel())
         all_weights.append(weights.ravel())
@@ -390,7 +370,7 @@ def _disk_constraints(e, points, orders, basis_size, grid, with_span):
     values.  s is the largest Gauss-Legendre radius.
     """
     n_r, n_t = grid
-    r, w = _rings(e.radius, *_leggauss(n_r), n_t)
+    r, w = disk_rule(e.radius, n_r, n_t)
     s = float(r.max())
     powers = (r / s)[:, None] ** np.arange(basis_size)
     nu = np.sqrt(n_t * (w @ powers ** 2))
@@ -595,49 +575,39 @@ def solve_p2(scheme: InterpolationScheme, targets: JetTargets) -> SolveReport:
     )
 
 
-class _ClusterForm:
-    """The p = 2 quotient form of one cluster, ||w||^2 = w^H D^-1 w.
+def _cluster_factor(domain, points, orders):
+    """F with the cluster's p = 2 quotient norm ||w|| = ||F^+ w||, F^+ w the
+    minimum-norm solution of F c = w, after the checks every target of the
+    cluster must pass.
 
-    On a disk domain D is the kernel Gram matrix of its Euclidean image, as
-    in quotient_norm_p2.  On a union of balls D = C C^H, C the constraint
-    matrix in quotient_norm_general's orthonormal basis (basis size
-    max(32, m), default grid), as in target_norm.
+    On a disk F is the Cholesky factor of the kernel Gram matrix of its
+    Euclidean image, as in quotient_norm_p2, after its condition gate.  On a
+    union of balls F is the constraint matrix in quotient_norm_general's
+    orthonormal basis (basis size max(32, m), default grid), as in
+    target_norm, after the feasibility test for every unit target (so F has
+    full row rank).
     """
-
-    def __init__(self, domain, points, orders):
-        if domain.is_disk:
-            e = pseudo_to_euclidean(domain.balls[0])
-            self.G, self.C = _gram(points, orders, e.center, e.radius), None
-        else:
-            self.G, self.C = None, _basis_constraints(
-                domain, points, orders, max(32, len(points)), QUAD_GRID, with_span=False
-            )[0]
-
-    def norms(self, W):
-        """The quotient norm of each column of W."""
-        if self.C is None:
-            return _gram_solve(self.G, W)[1]
-        return np.linalg.norm(_min_norm_coeffs(self.C, W)[0], axis=0)
-
-    def gram(self):
-        """D, after the checks `norms` makes on every target: the condition
-        gate on a disk, the feasibility test on a union, here for every
-        unit target (so C has full row rank)."""
-        if self.C is None:
-            _check_condition(self.G)
-            return self.G
-        _min_norm_coeffs(self.C, np.eye(len(self.C)))
-        return self.C @ self.C.conj().T
+    if domain.is_disk:
+        e = pseudo_to_euclidean(domain.balls[0])
+        G = _gram(points, orders, e.center, e.radius)
+        _check_condition(G)
+        return np.linalg.cholesky(G)
+    C = _basis_constraints(
+        domain, points, orders, max(32, len(points)), QUAD_GRID, with_span=False
+    )[0]
+    _min_norm_coeffs(C, np.eye(len(C)))
+    return C
 
 
 def _scheme_forms(scheme: InterpolationScheme):
-    """(members, G, forms): each cluster's member indices, the kernel Gram
-    matrix of the scheme's jets in cluster order and each cluster's p = 2
-    form."""
+    """(members, L, factors): each cluster's member indices, the Cholesky
+    factor L of the kernel Gram matrix G of the scheme's jets in cluster
+    order (after G's condition gate) and each cluster's _cluster_factor."""
     jets = _cluster_jets(scheme)
     G = _gram([z for _, pts, _ in jets for z in pts], [o for _, _, ords in jets for o in ords])
-    forms = [_ClusterForm(dom, pts, ords) for dom, (_, pts, ords) in zip(scheme.domains, jets)]
-    return [m for m, _, _ in jets], G, forms
+    _check_condition(G)
+    factors = [_cluster_factor(dom, pts, ords) for dom, (_, pts, ords) in zip(scheme.domains, jets)]
+    return [m for m, _, _ in jets], np.linalg.cholesky(G), factors
 
 
 def interpolation_constant_probe(
@@ -647,8 +617,9 @@ def interpolation_constant_probe(
     draws of global-solve norm over target norm, at p = 2.
 
     A lower bound of `interpolation_constant_p2`, kept as a cross-check of
-    it.  G and the cluster forms are built once and all draws are solved
-    as the columns of one right-hand side."""
+    it, from the same factors: the global norm of a target v is
+    ||L^-1 v||, the cluster norms are those of _cluster_factor.  All draws
+    are solved as the columns of one right-hand side."""
     rng = np.random.default_rng(seed)
     n = len(scheme.sequence)
     V = np.empty((n, trials), dtype=complex)
@@ -657,9 +628,10 @@ def interpolation_constant_probe(
         V[:, t] = v / np.linalg.norm(v)
     if not trials:
         return 0.0
-    members, G, forms = _scheme_forms(scheme)
-    _, norms = _gram_solve(G, V[[i for m in members for i in m]])
-    target = np.sqrt(sum(form.norms(V[m]) ** 2 for form, m in zip(forms, members)))
+    members, L, factors = _scheme_forms(scheme)
+    norms = np.linalg.norm(np.linalg.solve(L, V[[i for m in members for i in m]]), axis=0)
+    target = np.sqrt(sum(np.linalg.norm(_min_norm_coeffs(F, V[m])[0], axis=0) ** 2
+                         for F, m in zip(factors, members)))
     ok = target > 0.0
     return float((norms[ok] / target[ok]).max(initial=0.0))
 
@@ -667,31 +639,26 @@ def interpolation_constant_probe(
 def interpolation_constant_p2(scheme: InterpolationScheme) -> float:
     """Exact p = 2 interpolation constant of the scheme: the largest ratio of
     the minimum A^2(disk) norm of an interpolant to the target norm,
-    sqrt(lambda_max(G^-1, B)).
+    sqrt(lambda_max(G^-1, B)) = ||L^-1 F||_2.
 
-    G is the kernel Gram matrix of the scheme's jets and B the block
-    diagonal of the clusters' p = 2 quotient forms: the inverse kernel Gram
-    matrix of a disk domain, and (C C^H)^-1 on a union of balls, C the
-    constraint matrix in quotient_norm_general's orthonormal basis.  Union
-    blocks are therefore exact only up to that quadrature and polynomial
-    basis.  G^-1 w = lambda B w is the problem D y = lambda G y for
-    D = B^-1 and y = B w; with G = L L^H it is the Hermitian problem
-    L^-1 D L^-H x = lambda x (the reduction LAPACK's hegv makes), so no
-    inverse of B is formed.  Raises SingularGram and InfeasibleConstraints
-    where the probe would.
+    G = L L^H is the kernel Gram matrix of the scheme's jets and B the block
+    diagonal of the clusters' p = 2 quotient forms B_k = (F_k F_k^H)^-1,
+    F_k from _cluster_factor: the inverse kernel Gram matrix of a disk
+    domain, and on a union of balls the form of the constraint matrix in
+    quotient_norm_general's orthonormal basis, so union blocks are exact
+    only up to that quadrature and polynomial basis.  With F the block
+    diagonal of the F_k, lambda_max(G^-1, B) = lambda_max(F^H G^-1 F), the
+    largest squared singular value of L^-1 F; no inverse of B and no
+    product F_k F_k^H is formed.  Raises SingularGram and
+    InfeasibleConstraints where the probe would.
     """
-    _, G, forms = _scheme_forms(scheme)
-    _check_condition(G)
-    D = np.zeros_like(G)
-    lo = 0
-    for form in forms:
-        block = form.gram()
-        D[lo:lo + len(block), lo:lo + len(block)] = block
-        lo += len(block)
-    L = np.linalg.cholesky(G)
-    LiD = np.linalg.solve(L, D)
-    lam = np.linalg.eigvalsh(np.linalg.solve(L, LiD.conj().T))[-1]
-    return float(np.sqrt(lam))
+    _, L, factors = _scheme_forms(scheme)
+    F = np.zeros((len(L), sum(f.shape[1] for f in factors)), dtype=complex)
+    row = col = 0
+    for f in factors:
+        F[row:row + f.shape[0], col:col + f.shape[1]] = f
+        row, col = row + f.shape[0], col + f.shape[1]
+    return float(np.linalg.norm(np.linalg.solve(L, F), 2))
 
 
 def example1_norm(Z: PointSequence, values, p: float) -> float:
@@ -803,13 +770,8 @@ def blaschke_bound_check(points, gamma_index: int, z) -> tuple[float, float]:
     pts = np.array([as_complex(p) for p in points], dtype=complex)
     zv = as_complex(z)
     gamma = pts[gamma_index]
-    value = 1.0
-    for k, beta in enumerate(pts):
-        if k == gamma_index:
-            continue
-        value *= abs((beta - zv) / (1.0 - np.conj(beta) * zv)) / abs(
-            (beta - gamma) / (1.0 - np.conj(beta) * gamma)
-        )
+    beta = np.delete(pts, gamma_index)
+    value = np.prod(psi_array(beta, zv) / psi_array(beta, gamma))
     n_gamma, delta = _crowding(pts)
     bound = 2.0 ** len(pts) / delta[gamma_index] ** n_gamma[gamma_index]
     return float(value), float(bound)

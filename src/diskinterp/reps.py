@@ -13,6 +13,8 @@ from math import comb, factorial
 
 import numpy as np
 
+from .geometry import moebius, moebius_many
+
 # Matrix entries per block in KernelRep.derivative.
 KERNEL_BLOCK = 1 << 15
 
@@ -153,13 +155,6 @@ class PolyRep(AnalyticFunctionRep):
         }
 
 
-def _moebius_ratio(beta: complex, gamma: complex, z: np.ndarray) -> np.ndarray:
-    """M_beta(z) / M_beta(gamma) with M_beta(z) = (beta - z)/(1 - conj(beta) z)."""
-    num = (beta - z) / (1.0 - np.conj(beta) * z)
-    den = (beta - gamma) / (1.0 - np.conj(beta) * gamma)
-    return num / den
-
-
 @dataclass(frozen=True)
 class BlaschkeLagrangeRep(AnalyticFunctionRep):
     """f(z) = sum_t coeff_t * prod_{(beta,gamma) in factors_t} M_beta(z)/M_beta(gamma)."""
@@ -172,7 +167,7 @@ class BlaschkeLagrangeRep(AnalyticFunctionRep):
         for coeff, factors in self.terms:
             prod = np.full_like(z, coeff)
             for beta, gamma in factors:
-                prod = prod * _moebius_ratio(beta, gamma, z)
+                prod = prod * (moebius_many(beta, z) / moebius(beta, gamma))
             out = out + prod
         return out
 

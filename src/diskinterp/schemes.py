@@ -16,7 +16,7 @@ import numpy as np
 
 from . import geometry as geo
 from .errors import DiameterOverflow, NoValidEpsilon
-from .geometry import PseudoDisk, as_complex, hyp_sum, psi_matrix
+from .geometry import PseudoDisk, as_complex, euclidean_images, hyp_sum, psi_array, psi_matrix
 
 # Components whose diameter reaches this value are rejected outright.
 DIAMETER_CAP = 1.0 - 1e-9
@@ -172,13 +172,6 @@ SWEEP_BLOCK = 2 ** 17
 SWEEP_CIRCLES = 2 ** 11
 
 
-def _euclidean_images(centers: np.ndarray, radii: np.ndarray):
-    """Vectorised pseudo_to_euclidean: image centres and radii."""
-    m = np.abs(centers) ** 2
-    denom = 1.0 - radii ** 2 * m
-    return (1.0 - radii ** 2) * centers / denom, radii * (1.0 - m) / denom
-
-
 def _touching_pairs(centers: np.ndarray, radii: np.ndarray):
     """Index arrays (a, b), one entry per unordered pair i != j of open
     pseudo-disks D(centers[i], radii[i]) that intersect, i.e. whose centres
@@ -189,7 +182,7 @@ def _touching_pairs(centers: np.ndarray, radii: np.ndarray):
     pair), tested in blocks of PAIR_BLOCK; the psi test decides.
     """
     n = len(centers)
-    c, r = _euclidean_images(centers, radii)
+    c, r = euclidean_images(centers, radii)
     pad = r * (1.0 + 1e-9) + 1e-15
     order = np.argsort(c.real - pad, kind="stable")
     lo = (c.real - pad)[order]
@@ -205,9 +198,7 @@ def _touching_pairs(centers: np.ndarray, radii: np.ndarray):
         first = np.repeat(np.arange(p, q), k)
         second = first + 1 + np.arange(len(first)) - np.repeat(cum[p:q] - cum[p], k)
         a, b = order[first], order[second]
-        za, zb = centers[a], centers[b]
-        d = np.abs((za - zb) / (1.0 - np.conj(zb) * za))
-        d[za == zb] = 0.0
+        d = psi_array(centers[a], centers[b])
         ra, rb = radii[a], radii[b]
         keep = d < (ra + rb) / (1.0 + ra * rb)
         out_a.append(a[keep].astype(np.int32))
@@ -499,7 +490,7 @@ def _deepest(centers, radii, labels, weights):
     # the pairs by rank from here on: a block is a range of ranks
     np.take(rank, a, out=a)
     np.take(rank, b, out=b)
-    c, r = _euclidean_images(centers, radii)
+    c, r = euclidean_images(centers, radii)
     first = int(np.argmax(own))
     best = (int(own[first]), first, 0.0)
     start = 0
@@ -566,8 +557,7 @@ def check_admissibility(s: InterpolationScheme) -> AdmissibilityReport:
         c = np.repeat([s.domains[k].balls[0].center for k in disks], size)
         r = np.repeat(r, size)
         z = s.sequence.array[np.concatenate([s.clusters[k].members for k in disks])]
-        t = np.abs((z - c) / (1.0 - np.conj(c) * z))
-        t[z == c] = 0.0
+        t = psi_array(z, c)
         meas_eps = float(((r - t) / (1.0 - r * t)).min())
     for k, d in enumerate(s.domains):
         if d.is_disk:

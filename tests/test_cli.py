@@ -126,6 +126,27 @@ def test_quotient_domain_without_center_or_radius_is_a_parse_error(tmp_path, dom
     assert "'domain' {center, radius}" in capsys.readouterr().err
 
 
+_POINT_COMMANDS = ("scheme", "density", "interpolate", "quotient", "o-weight", "probe")
+_DOMAIN = {"center": 0.0, "radius": 0.5}
+
+
+@pytest.mark.parametrize("command, doc", [
+    *[(c, {"points": 5, "values": [1.0], "coefficients": [1.0], "domain": _DOMAIN})
+      for c in _POINT_COMMANDS],
+    ("interpolate", {"points": [0.0], "values": 5}),
+    *[(c, {"points": [0.0], "jets": 5, "domain": _DOMAIN})
+      for c in ("scheme", "interpolate", "quotient", "probe")],
+    ("o-weight", {"points": [0.0], "coefficients": 3}),
+    ("quotient", {"points": [0.0], "values": [1.0], "domain": {"center": 0.0, "radius": "x"}}),
+    ("quotient", {"points": [0.0], "values": [1.0], "domain": {"center": 0.0, "radius": [0.5]}}),
+])
+def test_malformed_document_is_a_parse_error(tmp_path, command, doc, capsys):
+    # a scalar where a list or number belongs exits 2 with a message, no traceback
+    inp = write_doc(tmp_path, "in.json", doc)
+    assert main([command, inp, "--out", str(tmp_path / "x.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_exit_code_precondition(tmp_path):
     # epsilon so large the merged component's diameter overflows
     inp = write_doc(tmp_path, "in.json", {"points": [-0.99, 0.99]})

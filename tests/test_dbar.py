@@ -126,6 +126,39 @@ def test_green_potential_third_piece_nonpositive():
         assert i3 <= 1e-12
 
 
+def _leggauss_green_potential(laplacian_values, z, grid=(160, 128)):
+    """green_potential with numpy's Gauss-Legendre rule built inline on
+    each call: the reference for the shared, cached disk rule."""
+    n_r, n_t = grid
+    x, wx = np.polynomial.legendre.leggauss(n_r)
+    t = 0.5 * (x + 1.0)
+    wt = 0.5 * wx * t / (1.0 - t ** 2) ** 2
+    nodes = t[:, None] * np.exp(2j * np.pi * np.arange(n_t)[None, :] / n_t)
+    moved = (z - nodes) / (1.0 - np.conj(z) * nodes)
+    aw = np.abs(nodes)
+    k1 = np.log(aw) + 0.5 * (1.0 - aw ** 2)
+    k3 = abs(z) ** 2 * (1.0 - aw ** 2) ** 2 / (2.0 * np.abs(1.0 - np.conj(nodes) * z) ** 2)
+    lw, lw2 = laplacian_values(nodes), laplacian_values(moved)
+    total = (wt[:, None] * (lw * k1 + lw2 * k1 + lw * k3)).sum() * (2.0 * np.pi / n_t)
+    return 2.0 / math.pi * total
+
+
+def test_green_potential_matches_per_call_rule(monkeypatch):
+    def lap(w):
+        return -1.0 - 0.5 * np.abs(w) ** 2
+
+    for z in (0.0, 0.3, 0.5 + 0.4j, -0.85j):
+        assert green_potential(lap, z) == pytest.approx(
+            _leggauss_green_potential(lap, z), rel=1e-14, abs=1e-14)
+    # the rule is cached: a second call does not ask numpy for it again
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                        lambda n: calls.append(n) or leggauss(n))
+    green_potential(lap, 0.3)
+    assert calls == []
+
+
 def test_green_potential_rejects_positive_laplacian():
     with pytest.raises(PositiveLaplacian):
         green_potential(const_lap(0.5), 0.3)

@@ -13,8 +13,10 @@ from diskinterp.geometry import (
     invariant_area_weight,
     moebius,
     moebius_deriv,
+    euclidean_images,
     pseudo_to_euclidean,
     psi,
+    psi_array,
     rho,
 )
 
@@ -140,3 +142,33 @@ def test_psi_many_matches_scalar():
     out = geo.psi_many(0.2, pts)
     for v, p in zip(out, pts):
         assert v == pytest.approx(psi(0.2, p), abs=1e-15)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.0, 1.0 - 1e-12), st.floats(0.0, 2.0 * np.pi))
+def test_psi_array_of_a_point_and_itself_is_zero(r, t):
+    a = r * np.exp(1j * t)
+    assert psi_array(a, a) == 0.0
+    z = np.array([a, 0.5 * a, a])
+    np.testing.assert_array_equal(psi_array(z[:, None], z[None, :]).diagonal(), 0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(disk_points, st.floats(0.01, 0.99)), min_size=1, max_size=8))
+def test_euclidean_images_match_pseudo_to_euclidean(disks):
+    # arrays agree with the per-disk images to 1e-15 relative, times the
+    # formula's condition 1 / ((1 - |c|^2)(1 - r^2 |c|^2)): numpy's complex
+    # product may round |c|^2 differently from Python's.  Scalars stay
+    # Python numbers.
+    centers = np.array([c for c, _ in disks], dtype=complex)
+    radii = np.array([r for _, r in disks])
+    got_c, got_r = euclidean_images(centers, radii)
+    for c, r, gc, gr in zip(centers, radii, got_c, got_r):
+        e = pseudo_to_euclidean(PseudoDisk(complex(c), float(r)))
+        tol = 1e-15 / ((1.0 - abs(c) ** 2) * (1.0 - r * r * abs(c) ** 2))
+        assert abs(gc - e.center) <= tol * abs(e.center)
+        assert abs(gr - e.radius) <= tol * e.radius
+        sc, sr = euclidean_images(complex(c), float(r))
+        assert type(sc) is complex and type(sr) is float
+        assert abs(sc - e.center) <= 1e-15 * abs(e.center)
+        assert abs(sr - e.radius) <= 1e-15 * e.radius

@@ -659,6 +659,38 @@ def test_probe_never_exceeds_exact_constant(points, eps, seed):
     assert 0.0 < interpolation_constant_probe(scheme, 5, seed) <= exact * (1.0 + 1e-9)
 
 
+def _hegv_constant(scheme):
+    """sqrt(lambda_max(G^-1, B)) as eigvalsh(L^-1 D L^-H), D the block
+    diagonal of the clusters' B_k^-1: the disk's kernel Gram matrix, and
+    C C^H on a union of balls, C its constraint matrix."""
+    jets = interpolation._cluster_jets(scheme)
+    G = interpolation._gram([z for _, p, _ in jets for z in p], [k for _, _, o in jets for k in o])
+    D = np.zeros_like(G)
+    lo = 0
+    for dom, (_, p, o) in zip(scheme.domains, jets):
+        if dom.is_disk:
+            e = pseudo_to_euclidean(dom.balls[0])
+            block = interpolation._gram(p, o, e.center, e.radius)
+        else:
+            C = interpolation._basis_constraints(dom, p, o, max(32, len(p)),
+                                                 interpolation.QUAD_GRID, with_span=False)[0]
+            block = C @ C.conj().T
+        D[lo:lo + len(p), lo:lo + len(p)] = block
+        lo += len(p)
+    L = np.linalg.cholesky(G)
+    LiD = np.linalg.solve(L, D)
+    return math.sqrt(np.linalg.eigvalsh(np.linalg.solve(L, LiD.conj().T))[-1])
+
+
+def test_exact_constant_matches_hegv_reduction():
+    # the factor form ||L^-1 F||_2 against the Hermitian reduction of the
+    # pencil, on a union with a jet and on disks with jets
+    eight = [0.0, 0.0, 0.5, 0.45j, 0.45j, 0.45j, -0.3 + 0.4j, 0.7 - 0.2j]
+    for scheme in (_jet_union_scheme(), build_minimal_scheme(PointSequence(eight), 0.1)):
+        assert interpolation_constant_p2(scheme) == pytest.approx(
+            _hegv_constant(scheme), rel=1e-10)
+
+
 def test_exact_constant_raises_like_the_probe():
     # a jet pair on top of a point 1e-7 away: the global Gram is singular
     scheme = build_minimal_scheme(PointSequence([0.2, 0.2 + 1e-7, 0.5j]), 0.1)
