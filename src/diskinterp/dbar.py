@@ -22,7 +22,14 @@ from .errors import (
     StencilOutOfDomain,
 )
 from .geometry import PseudoDisk, as_complex, euclidean_images, moebius_many, pseudo_to_euclidean
-from .grids import GridFunction, PolarGridSpec, disk_rule
+from .grids import (
+    GridFunction,
+    PolarGridSpec,
+    disk_rule,
+    gauss_laguerre,
+    midpoint_radii,
+    ring_angles,
+)
 from .reps import rep_as_callable
 from .schemes import PointSequence
 
@@ -75,9 +82,7 @@ def invariant_laplacian(f, z, h: float = 1e-4):
 def _log_kernel_radial(r_star: float, n_radial: int):
     """Nodes/weights for int_0^{r*} g(t) log(r*^2/t^2) (1-t^2)^(-2) t dt via
     t = r* exp(-y/2) and generalized Gauss-Laguerre (weight y e^-y)."""
-    from scipy.special import roots_genlaguerre
-
-    y, wy = roots_genlaguerre(n_radial, 1.0)
+    y, wy = gauss_laguerre(n_radial, 1.0)
     t = r_star * np.exp(-0.5 * y)
     w = 0.5 * r_star ** 2 * wy / (1.0 - r_star ** 2 * np.exp(-y)) ** 2
     return t, w
@@ -102,8 +107,7 @@ def log_kernel_smooth(
     zv = as_complex(z)
     n_r, n_t = grid
     t, wt = _log_kernel_radial(r_star, n_r)
-    ang = 2.0 * np.pi * np.arange(n_t) / n_t
-    zeta = t[:, None] * np.exp(1j * ang[None, :])
+    zeta = t[:, None] * np.exp(1j * ring_angles(n_t)[None, :])
     vals = np.asarray(fun(moebius_many(zv, zeta)), dtype=float)  # at the transported nodes
     if not np.isfinite(vals).all():
         raise QuadratureDivergence("integrand not finite on the smoothing grid")
@@ -137,8 +141,7 @@ def green_potential_pieces(
     n_r, n_t = grid
     t, wt = disk_rule(1.0, n_r, n_t)
     wt = wt[:, None] / (1.0 - t[:, None] ** 2) ** 2  # dlambda = dA / (1 - |w|^2)^2
-    ang = 2.0 * np.pi * np.arange(n_t) / n_t
-    nodes = t[:, None] * np.exp(1j * ang[None, :])
+    nodes = t[:, None] * np.exp(1j * ring_angles(n_t)[None, :])
 
     lw = np.asarray(laplacian_values(nodes), dtype=float)
     if (lw > 1e-12).any():
@@ -314,13 +317,13 @@ def weighted_space_norm(
 
     n_r, n_t = outer_grid
     rmax = f.spec.max_radius
-    rr = (np.arange(n_r) + 0.5) * rmax / n_r
+    rr = midpoint_radii(rmax, n_r)
+    tt = ring_angles(n_t)
     # the m_q disk is (Euclideanly) smallest at the outermost outer node;
     # require the sample grid of f to resolve it
     edge = pseudo_to_euclidean(PseudoDisk(rr[-1], float(r)))
     if f.nodes_in_euclidean_disk(edge.center, edge.radius) < 16:
         raise GridTooCoarse("f grid does not resolve the local-mean disks")
-    tt = 2.0 * np.pi * np.arange(n_t) / n_t
     drho = rmax / n_r
     dth = 2.0 * np.pi / n_t
     total = 0.0

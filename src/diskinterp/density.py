@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import EmptyGrid, GridTooCoarse
 from .geometry import PseudoDisk, as_complex, psi_array, pseudo_to_euclidean
+from .grids import midpoint_radii, ring_angles
 from .reps import rep_as_callable
 from .schemes import PointSequence
 
@@ -184,8 +185,8 @@ def local_means(fun, centers, radii, q, grid: tuple[int, int]) -> np.ndarray:
     n_r, n_t = grid
     center = np.asarray(centers, dtype=complex)[:, None, None]
     radius = np.asarray(radii, dtype=float)
-    rr = (np.arange(n_r) + 0.5)[None, :] * radius[:, None] / n_r
-    tt = 2.0 * np.pi * np.arange(n_t) / n_t
+    rr = midpoint_radii(radius, n_r)
+    tt = ring_angles(n_t)
     w = center + rr[:, :, None] * np.exp(1j * tt)[None, None, :]
     vals = np.abs(np.asarray(fun(w), dtype=complex))
     if q == np.inf or q == "inf":

@@ -4,15 +4,38 @@ A GridFunction stores complex samples on a midpoint polar grid of radius
 max_radius < 1: radii r_i = (i + 1/2) dr, angles t_j = j dt.  Cell areas
 r_i dr dt make the node set a midpoint quadrature of the disk.
 `disk_rule` is the Gauss-Legendre x uniform-angle rule for dA on a
-Euclidean disk.
+Euclidean disk; `gauss_jacobi` and `gauss_laguerre` are the Gauss rules
+for the weights (1 - x)^alpha on [-1, 1] and y^alpha e^-y on [0, inf).
+Every rule raises ValueError for a node count below 1.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+
+
+def _check_count(*counts):
+    """Raise ValueError unless every quadrature node count is at least 1."""
+    for n in counts:
+        if n < 1:
+            raise ValueError(f"quadrature node counts must be at least 1, got {n}")
+
+
+def ring_angles(n_angular: int) -> np.ndarray:
+    """The n_angular equally spaced angles 2 pi j / n_angular of a ring."""
+    _check_count(n_angular)
+    return 2.0 * np.pi * np.arange(n_angular) / n_angular
+
+
+def midpoint_radii(radius, n_radial: int) -> np.ndarray:
+    """Midpoints (i + 1/2) radius / n_radial of n_radial equal radial cells;
+    an array of radii gives one row per radius."""
+    _check_count(n_radial)
+    return np.multiply.outer(radius, np.arange(n_radial) + 0.5) / n_radial
 
 
 @lru_cache(maxsize=8)
@@ -25,12 +48,48 @@ def _leggauss(n):
     return x, wx
 
 
+def _golub_welsch(diag, off, mu0):
+    """Gauss rule of the Jacobi matrix with the given diagonal and
+    off-diagonal (Golub and Welsch, Math. Comp. 23, 1969): its eigenvalues
+    are the nodes, and mu0 (the weight's total mass) times the squared
+    first components of its unit eigenvectors are the weights."""
+    x, V = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    w = mu0 * V[0] ** 2
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+@lru_cache(maxsize=8)
+def gauss_jacobi(n: int, alpha: float):
+    """n-node Gauss rule for the weight (1 - x)^alpha on [-1, 1], alpha > -1,
+    read-only, from the recurrence of the Jacobi polynomials P^(alpha, 0)."""
+    _check_count(n)
+    k = np.arange(n, dtype=float)
+    s = 2.0 * k + alpha
+    diag = -alpha * alpha / np.where(k > 0, s * (s + 2.0), 1.0)
+    diag[0] = -alpha / (alpha + 2.0)
+    k, s = k[1:], s[1:]
+    off = 2.0 * k * (k + alpha) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
+    return _golub_welsch(diag, off, 2.0 ** (alpha + 1.0) / (alpha + 1.0))
+
+
+@lru_cache(maxsize=8)
+def gauss_laguerre(n: int, alpha: float):
+    """n-node Gauss rule for the weight y^alpha e^-y on [0, inf), alpha > -1,
+    read-only, from the recurrence of the Laguerre polynomials L^(alpha)."""
+    _check_count(n)
+    k = np.arange(n, dtype=float)
+    return _golub_welsch(2.0 * k + alpha + 1.0, np.sqrt(k[1:] * (k[1:] + alpha)),
+                         math.gamma(alpha + 1.0))
+
+
 def disk_rule(radius: float, n_radial: int, n_angular: int):
     """Rule for dA on the Euclidean disk of the given radius about 0: the
     radii of its n_radial Gauss-Legendre rings, and the weight of each of
     the n_angular equally spaced nodes on each ring.  It integrates
     |polynomial|^2 exactly for degrees below the node counts; dividing the
     weights by (1 - r^2)^2 gives the rule for the invariant measure."""
+    _check_count(n_radial, n_angular)
     x, wx = _leggauss(n_radial)
     r = 0.5 * (x + 1.0) * radius
     return r, 0.5 * radius * wx * r * (2.0 * np.pi / n_angular)
@@ -55,7 +114,7 @@ class PolarGridSpec:
 
     @property
     def angles(self) -> np.ndarray:
-        return 2.0 * np.pi * np.arange(self.n_angular) / self.n_angular
+        return ring_angles(self.n_angular)
 
     @property
     def nodes(self) -> np.ndarray:

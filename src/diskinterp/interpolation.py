@@ -27,7 +27,7 @@ from .errors import (
     SingularGram,
 )
 from .geometry import PseudoDisk, as_complex, psi, psi_array, pseudo_to_euclidean
-from .grids import disk_rule
+from .grids import disk_rule, gauss_jacobi, ring_angles
 from .reps import (
     AnalyticFunctionRep,
     BlaschkeLagrangeRep,
@@ -44,7 +44,7 @@ GAP_TOL = 1e-9
 NEWTON_MAX_ITER = 60
 # Quadrature nodes per block when assembling a Newton system.
 _NODE_CHUNK = 4096
-# Rows per block of the R-only QR at p = 2.
+# Rows per block of the blocked QR of a union's basis values.
 QR_BLOCK = 1024
 # Default (radial, angular) quadrature grid of quotient_norm_general.
 QUAD_GRID = (64, 256)
@@ -154,7 +154,9 @@ def _check_condition(G):
     GRAM_CONDITION_LIMIT."""
     cond = np.linalg.cond(G)
     if not np.isfinite(cond) or cond > GRAM_CONDITION_LIMIT:
-        raise SingularGram(f"Gram condition number {cond:.3e} exceeds 1e12")
+        raise SingularGram(
+            f"Gram condition number {cond:.3e} exceeds {GRAM_CONDITION_LIMIT:.0e}"
+        )
 
 
 def _gram_solve(G, values):
@@ -184,7 +186,7 @@ def quotient_norm_p2(domain: PseudoDisk, constraints) -> float:
     return float(_gram_solve(G, [c.value for c in constraints])[1])
 
 
-def domain_quadrature(domain, n_radial: int = 64, n_angular: int = 256):
+def domain_quadrature(domain, n_radial: int = QUAD_GRID[0], n_angular: int = QUAD_GRID[1]):
     """Quadrature nodes/weights for dA over a pseudohyperbolic disk or a
     union-of-balls domain.
 
@@ -204,7 +206,7 @@ def domain_quadrature(domain, n_radial: int = 64, n_angular: int = 256):
                                 np.array([b.radius for b in balls]))
         for i, j in zip(*pairs):
             earlier[max(i, j)].append(balls[min(i, j)])
-    ang = 2.0 * np.pi * np.arange(n_angular) / n_angular
+    ang = ring_angles(n_angular)
     all_nodes = []
     all_weights = []
     for e, before in zip((pseudo_to_euclidean(b) for b in balls), earlier):
@@ -345,12 +347,33 @@ def _holder_bracket(u, b, M, weights, p, delta):
     return _lp_norm(u, weights, p), lower
 
 
-def _tsqr_r(A):
-    """R of a QR factorisation of the tall matrix A (its rows up to unit
-    factors): Householder QR of row blocks of QR_BLOCK, then of their
-    stacked R factors, so it is as backward stable as one QR of A."""
-    Rs = [np.linalg.qr(A[lo:lo + QR_BLOCK], mode="r") for lo in range(0, len(A), QR_BLOCK)]
-    return Rs[0] if len(Rs) == 1 else np.linalg.qr(np.vstack(Rs), mode="r")
+def _tsqr_r(A, overwrite_q=False):
+    """R of a QR factorisation A = Q R of the matrix A, which has at least
+    as many rows as columns (R's rows up to unit factors): Householder QR
+    of row blocks of QR_BLOCK, then of their stacked R factors, so it is as
+    backward stable as one QR of A.  With overwrite_q, A is overwritten by
+    Q, each block's Q times its rows of the second QR's Q, and no other
+    array of A's size is formed."""
+    blocks = range(0, len(A), QR_BLOCK)
+    Rs = []
+    for lo in blocks:
+        if overwrite_q:
+            Qb, Rb = np.linalg.qr(A[lo:lo + QR_BLOCK])
+            A[lo:lo + QR_BLOCK, :Qb.shape[1]] = Qb
+        else:
+            Rb = np.linalg.qr(A[lo:lo + QR_BLOCK], mode="r")
+        Rs.append(Rb)
+    if len(Rs) == 1:
+        return Rs[0]
+    if not overwrite_q:
+        return np.linalg.qr(np.vstack(Rs), mode="r")
+    Q2, R = np.linalg.qr(np.vstack(Rs))
+    row = 0
+    for lo, Rb in zip(blocks, Rs):
+        k = len(Rb)
+        A[lo:lo + QR_BLOCK] = A[lo:lo + QR_BLOCK, :k] @ Q2[row:row + k]
+        row += k
+    return R
 
 
 def _rank(sv, rows, basis_size):
@@ -389,9 +412,9 @@ def _basis_constraints(domain, points, orders, basis_size, grid, with_span):
     values at the quadrature nodes that carry weight, whose weights are
     `weights`; both are None unless `with_span`.  A disk has the closed
     form of _disk_constraints.  On a union of balls the weighted scaled
-    monomials at the owned nodes factor as Q R, and Q @ Ur is Phi times
-    sqrt(weights) at the nodes; without `with_span`, R comes from the
-    blocked R-only QR and Q is not formed.
+    monomials at the owned nodes factor as Q R by the blocked QR, and
+    Q @ Ur is Phi times sqrt(weights) at the nodes; Q is formed, in place
+    of the monomials, only with `with_span`.
     """
     balls = [domain] if isinstance(domain, PseudoDisk) else list(domain.balls)
     if len(balls) == 1:
@@ -403,19 +426,15 @@ def _basis_constraints(domain, points, orders, basis_size, grid, with_span):
     U, weights = nodes[owned] - center, weights[owned]
     s = float(np.abs(U).max())
     # sqrt(w) ((z - c)/s)^k at the nodes, column by column in Fortran order,
-    # which LAPACK factors in place
+    # so that each column is contiguous
     x = U / s
     A = np.empty((len(x), basis_size), dtype=complex, order="F")
     A[:, 0] = np.sqrt(weights)
     for k in range(1, basis_size):
         np.multiply(A[:, k - 1], x, out=A[:, k])
     # R alone carries the singular values and right singular vectors of A
-    if with_span:
-        from scipy.linalg import qr
-
-        Q, R = qr(A, mode="economic", overwrite_a=True, check_finite=False)
-    else:
-        Q, R = None, _tsqr_r(A)
+    R = _tsqr_r(A, overwrite_q=with_span)
+    Q = A if with_span else None
     del A
     Ur, sa, Wh = np.linalg.svd(R)
     r = int(_rank(sa, len(x), basis_size).sum())
@@ -789,14 +808,11 @@ def weighted_norms(
         raise ValueError(f"p must be positive, got {p}")
     fun = rep_as_callable(f)
     n_r, n_t = grid
-    from scipy.special import roots_jacobi
-
-    x, wx = roots_jacobi(n_r, alpha, 0.0)  # weight (1-x)^alpha on [-1, 1]
+    x, wx = gauss_jacobi(n_r, alpha)  # weight (1-x)^alpha on [-1, 1]
     u = 0.5 * (x + 1.0)  # u = r^2 in [0, 1]
     wu = wx * 0.5 ** (alpha + 1.0)  # maps (1-x)^alpha dx to (1-u)^alpha du
     r = np.sqrt(u)
-    ang = 2.0 * np.pi * np.arange(n_t) / n_t
-    nodes = r[:, None] * np.exp(1j * ang[None, :])
+    nodes = r[:, None] * np.exp(1j * ring_angles(n_t)[None, :])
     vals = np.abs(np.asarray(fun(nodes), dtype=complex)) ** p
     ring = vals.mean(axis=1) * 2.0 * np.pi
     total = float(0.5 * (wu * ring).sum())

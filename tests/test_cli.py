@@ -154,8 +154,7 @@ def test_exit_code_precondition(tmp_path):
 
 
 def test_import_loads_no_scipy():
-    # scipy is imported by the few functions that need it, never by the
-    # package import every CLI command pays for
+    # the package import every CLI command pays for loads no scipy
     src = str(Path(diskinterp.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import sys, diskinterp; "
@@ -283,22 +282,59 @@ def test_quotient_values_at_a_repeated_point_are_its_jet(tmp_path):
     assert rep_v["results"]["quotient_norm"] == rep_j["results"]["quotient_norm"]
 
 
-def test_probe_reports_exact_constant_without_scipy(tmp_path):
+def test_probe_reports_exact_constant_on_a_union(tmp_path):
     # 0 and 0.05 form one two-ball cluster, whose p = 2 form comes from the
-    # quadrature basis; the probe imports no scipy on that path either
+    # quadrature basis
     inp = write_doc(tmp_path, "in.json", {"points": [0.0, 0.05, 0.5]})
-    out = str(tmp_path / "report.json")
-    src = str(Path(diskinterp.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    code = ("import sys; from diskinterp.cli import main; "
-            f"status = main(['probe', {inp!r}, '--epsilon', '0.1', '--out', {out!r}]); "
-            "print(status, [m for m in sys.modules if m.split('.')[0] == 'scipy'])")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True, timeout=60)
-    assert proc.stdout.strip() == "0 []"
-    res = json.loads(open(out).read())["results"]
+    code, rep = run_cli(tmp_path, ["probe", inp, "--epsilon", "0.1"])
+    assert code == 0
+    res = rep["results"]
     assert res["exact_constant"] >= res["interpolation_constant"] * (1.0 - 1e-9)
     assert res["interpolation_constant"] >= 1.0 - 1e-9
+
+
+def test_runtime_needs_no_scipy(tmp_path):
+    # with every import of scipy made to fail, each CLI command runs, and so
+    # does each function that once imported it: a union's QR at p != 2 and
+    # the Gauss-Jacobi and Gauss-Laguerre rules
+    cluster = write_doc(tmp_path, "cluster.json", {"points": [0.0, 0.05, 0.5]})
+    values = write_doc(tmp_path, "values.json",
+                       {"points": [0.0, 0.05, 0.5], "values": [1.0, 2.0, -1.0]})
+    docs = {c: write_doc(tmp_path, f"{c}.json", doc) for c, doc in COMMAND_DOCS.items()}
+    runs = [
+        ["scheme", docs["scheme"], "--epsilon", "0.1"],
+        ["density", docs["density"], "--radii", "0.9,0.95"],
+        ["interpolate", values, "--epsilon", "0.1", "--p", "3"],
+        ["quotient", docs["quotient"], "--p", "1.5"],
+        ["dbar-check", docs["dbar-check"], "--grid", "32x32"],
+        ["o-weight", docs["o-weight"], "--p", "3", "--alpha", "0.5"],
+        ["probe", cluster, "--epsilon", "0.1", "--trials", "4"],
+    ]
+    runs = [args + ["--out", str(tmp_path / f"{args[0]}.out.json")] for args in runs]
+    code = f"""
+import sys
+sys.modules["scipy"] = None  # any import of scipy or a submodule now raises
+import numpy as np
+from diskinterp import PointSequence, build_minimal_scheme
+from diskinterp.cli import main
+from diskinterp.dbar import TauSpec, tau_smooth
+from diskinterp.interpolation import JetTargets, quotient_norm_general, weighted_norms
+for args in {runs!r}:
+    assert main(args) == 0, args
+scheme = build_minimal_scheme(PointSequence([0.0, 0.05]), 0.1)
+(domain,) = scheme.domains
+assert len(domain.balls) == 2
+cons = JetTargets.values_on_scheme(scheme, [1.0, -0.5j]).per_cluster[0]
+assert quotient_norm_general(domain, cons, 3.0, basis_size=12, grid=(24, 96)) > 0.0
+assert np.isfinite(tau_smooth(TauSpec(PointSequence([0.1, 0.5j]), 2.0, 0.5), 0.3))
+assert weighted_norms(lambda z: 1.0 + z, 2.0, alpha=2.5) > 0.0
+print("ok")
+"""
+    src = str(Path(diskinterp.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "ok"
 
 
 def test_every_error_has_one_exit_status():

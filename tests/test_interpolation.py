@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -716,6 +717,39 @@ def test_blocked_r_matches_scipy_qr():
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * want[0])
     np.testing.assert_allclose(R.conj().T @ R, A.conj().T @ A, rtol=0,
                                atol=1e-13 * want[0] ** 2)
+
+
+@pytest.mark.parametrize("rows", [2 * interpolation.QR_BLOCK + 37, interpolation.QR_BLOCK + 5])
+def test_blocked_qr_writes_q_over_a(rows):
+    # the second size leaves a last block of 5 rows, fewer than the columns
+    rng = np.random.default_rng(6)
+    x = 0.9 * (rng.uniform(-1, 1, rows) + 1j * rng.uniform(-1, 1, rows))
+    A0 = np.asfortranarray(np.sqrt(rng.uniform(0.5, 1.0, rows))[:, None]
+                           * x[:, None] ** np.arange(16))
+    A = A0.copy(order="F")
+    R = interpolation._tsqr_r(A, overwrite_q=True)
+    np.testing.assert_array_equal(R, interpolation._tsqr_r(A0))
+    np.testing.assert_allclose(A.conj().T @ A, np.eye(16), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(A @ R, A0, rtol=0, atol=1e-13 * np.linalg.norm(A0, 2))
+
+
+def test_blocked_qr_forms_no_second_matrix():
+    # Q takes A's place: at a union's size (two balls at 0 and 0.05 own
+    # 20,004 nodes of the default grid, 20 blocks) A and the call's own
+    # arrays stay within 1.25 A.  At a block or two each block is half of
+    # A, and so are the block QR's arrays
+    rng = np.random.default_rng(7)
+    rows = 32 * interpolation.QR_BLOCK + 37
+    x = 0.9 * (rng.uniform(-1, 1, rows) + 1j * rng.uniform(-1, 1, rows))
+    A = np.asfortranarray(x[:, None] ** np.arange(32))
+    tracemalloc.start()
+    try:
+        interpolation._tsqr_r(A, overwrite_q=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert A.nbytes + peak <= 1.25 * A.nbytes
+    np.testing.assert_allclose(A.conj().T @ A, np.eye(32), rtol=0, atol=1e-13)
 
 
 # -------------------------------------------------------------- worked norms

@@ -1,9 +1,13 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from diskinterp.grids import GridFunction, PolarGridSpec
+from diskinterp.dbar import green_potential, log_kernel_smooth, weighted_space_norm
+from diskinterp.density import local_mean
+from diskinterp.grids import GridFunction, PolarGridSpec, gauss_jacobi, gauss_laguerre
+from diskinterp.interpolation import weighted_norms
 from diskinterp.reps import (
     BlaschkeLagrangeRep,
     KernelRep,
@@ -11,6 +15,7 @@ from diskinterp.reps import (
     bergman_kernel_deriv,
     complex_derivative,
 )
+from diskinterp.schemes import PointSequence
 
 
 def test_bergman_kernel_values():
@@ -164,3 +169,67 @@ def test_nodes_in_euclidean_disk_matches_direct_count():
         for c, r in disks:
             want = int((np.abs(spec.nodes - c) < r).sum())
             assert g.nodes_in_euclidean_disk(c, r) == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 24, 128])
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 1.0, 2.5])
+def test_gauss_jacobi_matches_scipy_and_beta_moments(n, alpha):
+    from scipy.special import roots_jacobi
+
+    x, w = gauss_jacobi(n, alpha)
+    want_x, want_w = roots_jacobi(n, alpha, 0.0)
+    np.testing.assert_allclose(x, want_x, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(w, want_w, rtol=0, atol=1e-12 * want_w.sum())
+    assert not (x.flags.writeable or w.flags.writeable)
+    # int_0^1 u^k (1 - u)^alpha du = B(k + 1, alpha + 1), u = (1 + x)/2,
+    # exact in rationals; degrees up to n, where u^k adds at most n
+    # roundings per node
+    u, wu = 0.5 * (x + 1.0), w * 0.5 ** (alpha + 1.0)
+    a = Fraction(alpha)
+    beta = 1 / (a + 1)
+    for k in range(n + 1):
+        if k:
+            beta *= k / (k + a + 1)
+        assert (wu * u ** k).sum() == pytest.approx(float(beta), rel=1e-13, abs=0.0), k
+
+
+@pytest.mark.parametrize("n", [1, 48])
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+def test_gauss_laguerre_matches_scipy_and_gamma_moments(n, alpha):
+    from scipy.special import roots_genlaguerre
+
+    y, w = gauss_laguerre(n, alpha)
+    want_y, want_w = roots_genlaguerre(n, alpha)
+    # eigenvalues are accurate relative to the largest node
+    np.testing.assert_allclose(y, want_y, rtol=0, atol=1e-14 * want_y.max())
+    np.testing.assert_allclose(w, want_w, rtol=0, atol=1e-14 * want_w.sum())
+    assert not (y.flags.writeable or w.flags.writeable)
+    # int_0^inf y^k y^alpha e^-y dy = (k + alpha)!.  The eigenvectors give
+    # the outermost weights (down to e^-170 at n = 48) to an accuracy
+    # relative to the total mass only, and y^k from degree 16 on leans on
+    # them; the smoothing rule integrates bounded functions of e^(-y/2)
+    for k in range(min(2 * n, 16)):
+        want = math.factorial(k + int(alpha))
+        assert (w * y ** k).sum() == pytest.approx(want, rel=1e-13, abs=0.0), k
+
+
+def _grid_function():
+    return GridFunction.sample(lambda z: np.ones(np.shape(z), dtype=complex),
+                               PolarGridSpec(16, 16))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: weighted_norms(lambda z: np.ones(np.shape(z)), 2.0, grid=(8, 0)),
+    lambda: local_mean(lambda z: np.ones(np.shape(z)), 0.2, 2.0, 0.3, grid=(0, 8)),
+    lambda: local_mean(lambda z: np.ones(np.shape(z)), 0.2, 2.0, 0.3, grid=(8, 0)),
+    lambda: green_potential(lambda w: -np.ones(np.shape(w)), 0.2, grid=(16, 0)),
+    lambda: log_kernel_smooth(lambda w: np.ones(np.shape(w)), 0.2, grid=(8, 0)),
+    lambda: weighted_space_norm(_grid_function(), PointSequence([0.3]), 2.0, 2.0,
+                                outer_grid=(8, 0)),
+    lambda: weighted_space_norm(_grid_function(), PointSequence([0.3]), 2.0, 2.0,
+                                outer_grid=(0, 8)),
+], ids=["weighted_norms", "local_mean-radial", "local_mean-angular", "green_potential",
+        "log_kernel_smooth", "weighted_space_norm-angular", "weighted_space_norm-radial"])
+def test_quadrature_size_below_one_is_rejected(call):
+    with pytest.raises(ValueError, match="at least 1"):
+        call()
