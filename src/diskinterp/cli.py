@@ -28,6 +28,7 @@ from .grids import GridFunction, PolarGridSpec
 from .interpolation import (
     JetConstraint,
     JetTargets,
+    _repeat_orders,
     interpolation_constant_p2,
     interpolation_constant_probe,
     o_interp_weight,
@@ -114,13 +115,9 @@ def _constraints(Z: PointSequence, jets, doc) -> list[tuple[int, JetConstraint]]
     values = [_c(v) for v in _list(doc, "values")]
     if len(values) != len(Z):
         raise MalformedJet(f"one value per point required: {len(Z)} points, {len(values)} values")
-    seen: dict[complex, int] = {}
-    out = []
-    for i, v in enumerate(values):
-        z = complex(Z[i])
-        seen[z] = seen.get(z, -1) + 1
-        out.append((i, JetConstraint(z, seen[z], v)))
-    return out
+    points = [complex(z) for z in Z]
+    return [(i, JetConstraint(z, order, v))
+            for i, (z, order, v) in enumerate(zip(points, _repeat_orders(points), values))]
 
 
 def _targets_from_doc(scheme, cons) -> JetTargets:

@@ -107,11 +107,6 @@ def psi_array(z, w) -> np.ndarray:
     return np.abs((z - w) / (1.0 - np.conj(w) * z))
 
 
-def psi_many(z, points: np.ndarray) -> np.ndarray:
-    """Vectorized psi(z, p) for an array of points."""
-    return psi_array(as_complex(z), points)
-
-
 def psi_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise psi between two arrays of points, shape (len(a), len(b))."""
     return psi_array(np.asarray(a)[:, None], np.asarray(b)[None, :])

@@ -35,7 +35,7 @@ from .reps import (
     bergman_kernel_deriv,
     rep_as_callable,
 )
-from .schemes import InterpolationScheme, PointSequence, _touching_pairs
+from .schemes import Domain, InterpolationScheme, PointSequence, _touching_pairs
 
 GRAM_CONDITION_LIMIT = 1e12
 # Relative duality gap at which quotient_norm_general returns its value.
@@ -48,6 +48,8 @@ _NODE_CHUNK = 4096
 QR_BLOCK = 1024
 # Default (radial, angular) quadrature grid of quotient_norm_general.
 QUAD_GRID = (64, 256)
+# target_norm's polynomial basis size for m constraints: max(UNION_BASIS, m).
+UNION_BASIS = 32
 
 
 @dataclass(frozen=True)
@@ -106,19 +108,24 @@ class JetTargets:
         ])
 
 
+def _repeat_orders(points) -> list[int]:
+    """Derivative order of each point: the k-th repeat of a point is its
+    order-k jet."""
+    seen: dict[complex, int] = {}
+    orders = []
+    for z in points:
+        orders.append(seen.get(z, 0))
+        seen[z] = orders[-1] + 1
+    return orders
+
+
 def _cluster_jets(scheme: InterpolationScheme):
-    """Per cluster: (member indices, points, derivative orders), the k-th
-    occurrence of a point within a cluster being its order-k jet."""
+    """Per cluster: (member indices, points, derivative orders), repeats
+    within a cluster being jets (_repeat_orders)."""
     out = []
     for c in scheme.clusters:
-        points, orders = [], []
-        seen: dict[complex, int] = {}
-        for i in c.members:
-            pt = complex(scheme.sequence[i])
-            orders.append(seen.get(pt, 0))
-            seen[pt] = orders[-1] + 1
-            points.append(pt)
-        out.append((list(c.members), points, orders))
+        points = [complex(scheme.sequence[i]) for i in c.members]
+        out.append((list(c.members), points, _repeat_orders(points)))
     return out
 
 
@@ -149,27 +156,25 @@ def _gram(points, orders, center=0.0, s=1.0):
     return G
 
 
-def _check_condition(G):
-    """Raise SingularGram unless G's 2-norm condition number is at most
-    GRAM_CONDITION_LIMIT."""
+def _kernel_factor(points, orders, center=0.0, s=1.0):
+    """Cholesky factor L of the kernel Gram matrix G = L L^H of the jets on
+    the Euclidean disk (center, s) (_gram), so that the minimum A^2 norm of
+    an interpolant of w is ||L^-1 w||.  Raises SingularGram unless G's
+    2-norm condition number is at most GRAM_CONDITION_LIMIT."""
+    G = _gram(points, orders, center, s)
     cond = np.linalg.cond(G)
     if not np.isfinite(cond) or cond > GRAM_CONDITION_LIMIT:
         raise SingularGram(
             f"Gram condition number {cond:.3e} exceeds {GRAM_CONDITION_LIMIT:.0e}"
         )
+    return np.linalg.cholesky(G)
 
 
-def _gram_solve(G, values):
-    """Solve the kernel-representer system G c = w for minimum A^2 norm.
-
-    `values` is one target vector w or a matrix of them, one per column;
-    returns (coeffs, norms), norms = sqrt(w^H G^-1 w) per column.
-    """
-    _check_condition(G)
-    w = np.asarray(values, dtype=complex)
-    coeffs = np.linalg.solve(G, w)
-    norm_sq = (w.conj() * coeffs).sum(axis=0).real
-    return coeffs, np.sqrt(np.maximum(norm_sq, 0.0))
+def _p2_norm(domain, constraints) -> float:
+    """The p = 2 quotient norm ||F^-1 w|| of the constraints on a domain
+    (a scheme's Domain), F its _cluster_factor."""
+    F = _cluster_factor(domain, [c.point for c in constraints], [c.order for c in constraints])
+    return float(np.linalg.norm(np.linalg.solve(F, [c.value for c in constraints])))
 
 
 def quotient_norm_p2(domain: PseudoDisk, constraints) -> float:
@@ -179,11 +184,9 @@ def quotient_norm_p2(domain: PseudoDisk, constraints) -> float:
     if not constraints:
         return 0.0
     for c in constraints:
-        if not domain.contains(c.point) and psi(domain.center, c.point) > domain.radius:
+        if psi(domain.center, c.point) > domain.radius:
             raise ValueError(f"constraint point {c.point} outside the domain")
-    e = pseudo_to_euclidean(domain)
-    G = _gram([c.point for c in constraints], [c.order for c in constraints], e.center, e.radius)
-    return float(_gram_solve(G, [c.value for c in constraints])[1])
+    return _p2_norm(Domain((domain,)), constraints)
 
 
 def domain_quadrature(domain, n_radial: int = QUAD_GRID[0], n_angular: int = QUAD_GRID[1]):
@@ -549,20 +552,21 @@ def quotient_norm_general(
 def target_norm(scheme: InterpolationScheme, targets: JetTargets, p: float) -> float:
     """l^p direct-sum norm (sum_k ||w_k||_{E_k}^p)^(1/p) over the clusters.
 
-    Uses the exact kernel path when p = 2 and the domain is a single ball,
-    the discretized convex minimizer otherwise.
+    At p = 2 each cluster norm is ||F^-1 w||, F the cluster's
+    _cluster_factor (so a union raises InfeasibleConstraints if any target
+    of the cluster would); at other p it is quotient_norm_general's, with
+    max(UNION_BASIS, m) monomials for m constraints.
     """
     if len(targets) != len(scheme.clusters):
         raise MalformedJet("targets must be parallel to the scheme's clusters")
     total = 0.0
-    for k, cons in enumerate(targets.per_cluster):
-        dom = scheme.domains[k]
+    for dom, cons in zip(scheme.domains, targets.per_cluster):
         if not cons:
             continue
-        if p == 2.0 and dom.is_disk:
-            q = quotient_norm_p2(dom.balls[0], cons)
+        if p == 2.0:
+            q = _p2_norm(dom, cons)
         else:
-            q = quotient_norm_general(dom, cons, p, basis_size=max(32, len(cons)))
+            q = quotient_norm_general(dom, cons, p, basis_size=max(UNION_BASIS, len(cons)))
         total += q ** p
     return total ** (1.0 / p)
 
@@ -580,7 +584,9 @@ def solve_p2(scheme: InterpolationScheme, targets: JetTargets) -> SolveReport:
     pts = np.array([c.point for c in cons])
     orders = np.array([c.order for c in cons])
     vals = np.array([c.value for c in cons])
-    coeffs, norm = _gram_solve(_gram(pts, orders), vals)
+    L = _kernel_factor(pts, orders)
+    y = np.linalg.solve(L, vals)
+    coeffs = np.linalg.solve(L.conj().T, y)
     f = KernelRep(tuple((c.point, c.order, complex(a)) for c, a in zip(cons, coeffs)))
     residuals = np.empty(len(cons), dtype=complex)
     for k in np.unique(orders):
@@ -588,45 +594,44 @@ def solve_p2(scheme: InterpolationScheme, targets: JetTargets) -> SolveReport:
         residuals[sel] = f.derivative(pts[sel], int(k)) - vals[sel]
     return SolveReport(
         function=f,
-        norm_value=float(norm),
+        norm_value=float(np.linalg.norm(y)),
         target_norm=target_norm(scheme, targets, 2.0),
         residuals=tuple(complex(r) for r in residuals),
     )
 
 
 def _cluster_factor(domain, points, orders):
-    """F with the cluster's p = 2 quotient norm ||w|| = ||F^+ w||, F^+ w the
-    minimum-norm solution of F c = w, after the checks every target of the
-    cluster must pass.
+    """The m x m lower-triangular F with the cluster's p = 2 quotient norm
+    ||w|| = ||F^-1 w||, after the checks every target of the cluster must
+    pass.
 
-    On a disk F is the Cholesky factor of the kernel Gram matrix of its
-    Euclidean image, as in quotient_norm_p2, after its condition gate.  On a
-    union of balls F is the constraint matrix in quotient_norm_general's
-    orthonormal basis (basis size max(32, m), default grid), as in
-    target_norm, after the feasibility test for every unit target (so F has
-    full row rank).
+    On a disk F is the _kernel_factor of its Euclidean image, after its
+    condition gate.  On a union of balls, with C the constraint matrix in
+    quotient_norm_general's orthonormal basis (max(UNION_BASIS, m)
+    monomials, default grid), the norm is that of the minimum-norm solution
+    of C c = w, sqrt(w^H (C C^H)^-1 w); after the feasibility test for
+    every unit target (so C has full row rank), F = R^H from the QR of C^H,
+    so F F^H = C C^H.
     """
     if domain.is_disk:
         e = pseudo_to_euclidean(domain.balls[0])
-        G = _gram(points, orders, e.center, e.radius)
-        _check_condition(G)
-        return np.linalg.cholesky(G)
+        return _kernel_factor(points, orders, e.center, e.radius)
     C = _basis_constraints(
-        domain, points, orders, max(32, len(points)), QUAD_GRID, with_span=False
+        domain, points, orders, max(UNION_BASIS, len(points)), QUAD_GRID, with_span=False
     )[0]
     _min_norm_coeffs(C, np.eye(len(C)))
-    return C
+    return np.linalg.qr(C.conj().T, mode="r").conj().T
 
 
 def _scheme_forms(scheme: InterpolationScheme):
-    """(members, L, factors): each cluster's member indices, the Cholesky
-    factor L of the kernel Gram matrix G of the scheme's jets in cluster
-    order (after G's condition gate) and each cluster's _cluster_factor."""
+    """(members, L, factors): each cluster's member indices, the
+    _kernel_factor L of the scheme's jets in cluster order and each
+    cluster's _cluster_factor."""
     jets = _cluster_jets(scheme)
-    G = _gram([z for _, pts, _ in jets for z in pts], [o for _, _, ords in jets for o in ords])
-    _check_condition(G)
+    L = _kernel_factor([z for _, pts, _ in jets for z in pts],
+                       [o for _, _, ords in jets for o in ords])
     factors = [_cluster_factor(dom, pts, ords) for dom, (_, pts, ords) in zip(scheme.domains, jets)]
-    return [m for m, _, _ in jets], np.linalg.cholesky(G), factors
+    return [m for m, _, _ in jets], L, factors
 
 
 def interpolation_constant_probe(
@@ -637,8 +642,8 @@ def interpolation_constant_probe(
 
     A lower bound of `interpolation_constant_p2`, kept as a cross-check of
     it, from the same factors: the global norm of a target v is
-    ||L^-1 v||, the cluster norms are those of _cluster_factor.  All draws
-    are solved as the columns of one right-hand side."""
+    ||L^-1 v||, a cluster's norm of its part v_k is ||F_k^-1 v_k||.  All
+    draws are solved as the columns of one right-hand side."""
     rng = np.random.default_rng(seed)
     n = len(scheme.sequence)
     V = np.empty((n, trials), dtype=complex)
@@ -649,7 +654,7 @@ def interpolation_constant_probe(
         return 0.0
     members, L, factors = _scheme_forms(scheme)
     norms = np.linalg.norm(np.linalg.solve(L, V[[i for m in members for i in m]]), axis=0)
-    target = np.sqrt(sum(np.linalg.norm(_min_norm_coeffs(F, V[m])[0], axis=0) ** 2
+    target = np.sqrt(sum(np.linalg.norm(np.linalg.solve(F, V[m]), axis=0) ** 2
                          for F, m in zip(factors, members)))
     ok = target > 0.0
     return float((norms[ok] / target[ok]).max(initial=0.0))
@@ -662,21 +667,22 @@ def interpolation_constant_p2(scheme: InterpolationScheme) -> float:
 
     G = L L^H is the kernel Gram matrix of the scheme's jets and B the block
     diagonal of the clusters' p = 2 quotient forms B_k = (F_k F_k^H)^-1,
-    F_k from _cluster_factor: the inverse kernel Gram matrix of a disk
-    domain, and on a union of balls the form of the constraint matrix in
-    quotient_norm_general's orthonormal basis, so union blocks are exact
-    only up to that quadrature and polynomial basis.  With F the block
-    diagonal of the F_k, lambda_max(G^-1, B) = lambda_max(F^H G^-1 F), the
-    largest squared singular value of L^-1 F; no inverse of B and no
-    product F_k F_k^H is formed.  Raises SingularGram and
-    InfeasibleConstraints where the probe would.
+    F_k the square factor of _cluster_factor: the inverse kernel Gram
+    matrix of a disk domain, and on a union of balls (C C^H)^-1 for its
+    constraint matrix C in quotient_norm_general's orthonormal basis, so
+    union blocks are exact only up to that quadrature and polynomial
+    basis.  With F the block diagonal of the F_k,
+    lambda_max(G^-1, B) = lambda_max(F^H G^-1 F), the largest squared
+    singular value of L^-1 F; no inverse of B and no product F_k F_k^H is
+    formed.  Raises SingularGram and InfeasibleConstraints where the probe
+    would.
     """
     _, L, factors = _scheme_forms(scheme)
-    F = np.zeros((len(L), sum(f.shape[1] for f in factors)), dtype=complex)
-    row = col = 0
+    F = np.zeros_like(L)
+    lo = 0
     for f in factors:
-        F[row:row + f.shape[0], col:col + f.shape[1]] = f
-        row, col = row + f.shape[0], col + f.shape[1]
+        F[lo:lo + len(f), lo:lo + len(f)] = f
+        lo += len(f)
     return float(np.linalg.norm(np.linalg.solve(L, F), 2))
 
 

@@ -20,7 +20,12 @@ from diskinterp.dbar import (
     weighted_space_norm,
 )
 from diskinterp.density import k_weight_many, local_mean
-from diskinterp.errors import GridTooCoarse, PositiveLaplacian, StencilOutOfDomain
+from diskinterp.errors import (
+    GridTooCoarse,
+    PositiveLaplacian,
+    QuadratureDivergence,
+    StencilOutOfDomain,
+)
 from diskinterp.grids import GridFunction, PolarGridSpec
 from diskinterp.schemes import PointSequence
 
@@ -72,6 +77,13 @@ def test_log_kernel_smooth_reproduces_constants():
     for z in (0.0, 0.4, 0.3 - 0.5j):
         got = log_kernel_smooth(lambda w: np.full(w.shape, 3.25), z)
         assert got == pytest.approx(3.25, rel=1e-10)
+
+
+def test_log_kernel_smooth_raises_on_an_infinite_integrand():
+    # the smoothing disk D(0.2, 1/2) reaches past |w| = 0.3, where the
+    # integrand is infinite
+    with pytest.raises(QuadratureDivergence):
+        log_kernel_smooth(lambda w: np.where(np.abs(w) > 0.3, np.inf, 1.0), 0.2)
 
 
 def test_tau_smooth_close_to_tau():

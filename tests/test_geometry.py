@@ -137,9 +137,9 @@ def test_hyperbolic_midpoint():
     assert m.real == pytest.approx(2.0 - np.sqrt(3.0), abs=1e-12)
 
 
-def test_psi_many_matches_scalar():
+def test_psi_array_matches_scalar():
     pts = np.array([0.1, -0.2 + 0.3j, 0.5j])
-    out = geo.psi_many(0.2, pts)
+    out = geo.psi_array(0.2, pts)
     for v, p in zip(out, pts):
         assert v == pytest.approx(psi(0.2, p), abs=1e-15)
 

@@ -20,6 +20,7 @@ from diskinterp.errors import (
     MalformedJet,
     NonConvergence,
     PairTooFar,
+    QuadratureDivergence,
     SingularGram,
 )
 from diskinterp.geometry import PseudoDisk, moebius, moebius_deriv, psi, pseudo_to_euclidean
@@ -566,6 +567,34 @@ def _jet_union_scheme():
     return scheme
 
 
+def test_target_norm_p2_on_a_union_matches_the_quadrature_norm():
+    # the union cluster's ||F^-1 w|| against the minimum-norm polynomial of
+    # quotient_norm_general at p = 2, the disks against quotient_norm_p2
+    scheme = _jet_union_scheme()
+    rng = np.random.default_rng(11)
+    n = len(scheme.sequence)
+    t = JetTargets.values_on_scheme(scheme, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    parts = [
+        quotient_norm_p2(dom.balls[0], cons) if dom.is_disk else quotient_norm_general(
+            dom, cons, 2.0, max(interpolation.UNION_BASIS, len(cons)))
+        for dom, cons in zip(scheme.domains, t.per_cluster)
+    ]
+    assert target_norm(scheme, t, 2.0) == pytest.approx(math.sqrt(sum(q * q for q in parts)),
+                                                        rel=1e-12)
+
+
+def test_target_norm_p2_raises_when_a_union_loses_rank():
+    # two points 1e-12 apart make a two-ball domain whose two constraint
+    # rows agree to rounding: some unit target is unsolvable, so the
+    # cluster's norm raises for every target, as the exact constant's
+    # cluster factor does, though the target (1, 1) itself has a solution
+    scheme = build_minimal_scheme(PointSequence([0.3, 0.3 + 1e-12, -0.5j]), 0.1)
+    assert sorted(len(d.balls) for d in scheme.domains) == [1, 2]
+    t = JetTargets.values_on_scheme(scheme, [1.0, 1.0, 1.0])
+    with pytest.raises(InfeasibleConstraints):
+        target_norm(scheme, t, 2.0)
+
+
 def test_probe_matches_per_trial_loop():
     # the one-solve probe against solving every draw separately
     scheme = _jet_union_scheme()
@@ -636,7 +665,8 @@ def test_exact_constant_matches_oracle_on_a_union():
     scheme = _jet_union_scheme()
     exact = interpolation_constant_p2(scheme)
     oracle = _oracle_constant(
-        scheme, lambda dom, cons: quotient_norm_general(dom, cons, 2.0, max(32, len(cons))) ** 2)
+        scheme, lambda dom, cons: quotient_norm_general(
+            dom, cons, 2.0, max(interpolation.UNION_BASIS, len(cons))) ** 2)
     assert exact == pytest.approx(oracle, rel=1e-9)
     assert interpolation_constant_probe(scheme, 20, 1) <= exact * (1.0 + 1e-9)
 
@@ -673,7 +703,7 @@ def _hegv_constant(scheme):
             e = pseudo_to_euclidean(dom.balls[0])
             block = interpolation._gram(p, o, e.center, e.radius)
         else:
-            C = interpolation._basis_constraints(dom, p, o, max(32, len(p)),
+            C = interpolation._basis_constraints(dom, p, o, max(interpolation.UNION_BASIS, len(p)),
                                                  interpolation.QUAD_GRID, with_span=False)[0]
             block = C @ C.conj().T
         D[lo:lo + len(p), lo:lo + len(p)] = block
@@ -873,3 +903,10 @@ def test_weighted_norm_rejects_bad_params():
         weighted_norms(lambda z: z, 2.0, alpha=-1.0)
     with pytest.raises(ValueError):
         weighted_norms(lambda z: z, 0.0)
+
+
+def test_weighted_norm_raises_when_the_boundary_dominates():
+    # |f|^2 = (1 - |z|^2)^-2 is not integrable: the outer decile of the
+    # radial rule carries nearly all of the finite sum
+    with pytest.raises(QuadratureDivergence):
+        weighted_norms(lambda z: (1.0 - np.abs(z) ** 2) ** -1.0, 2.0)
