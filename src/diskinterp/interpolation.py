@@ -11,7 +11,7 @@ interpolation machinery with its Blaschke product bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import perm
+from math import comb, perm
 
 import numpy as np
 
@@ -189,17 +189,16 @@ def quotient_norm_p2(domain: PseudoDisk, constraints) -> float:
     return _p2_norm(Domain((domain,)), constraints)
 
 
-def domain_quadrature(domain, n_radial: int = QUAD_GRID[0], n_angular: int = QUAD_GRID[1]):
-    """Quadrature nodes/weights for dA over a pseudohyperbolic disk or a
-    union-of-balls domain.
+def _ball_rules(domain, n_radial, n_angular):
+    """Per ball of the domain, in order: (e, r, w, nodes, own), e its
+    Euclidean disk, r and w the radii and per-node weights of its
+    disk_rule rings, nodes its n_radial x n_angular nodes (one row per
+    ring) and own the mask of those it owns.
 
-    Gauss-Legendre radial x uniform angular per ball; in a union, a node is
-    owned by the lowest-index ball containing it, so overlaps count once.
-    A ball's nodes lie strictly inside it (the largest Gauss-Legendre
-    radius is below the ball's), so only the earlier balls that meet it,
-    found by `schemes._touching_pairs`, are tested.
-    The single-disk rule integrates |polynomial|^2 exactly for degrees
-    below the node counts.
+    A node is owned by the lowest-index ball containing it, so overlaps
+    count once.  A ball's nodes lie strictly inside it (the largest
+    Gauss-Legendre radius is below the ball's), so only the earlier balls
+    that meet it, found by `schemes._touching_pairs`, are tested.
     """
     balls = [domain] if isinstance(domain, PseudoDisk) else list(domain.balls)
     # earlier[k]: the balls before ball k that meet it
@@ -210,17 +209,31 @@ def domain_quadrature(domain, n_radial: int = QUAD_GRID[0], n_angular: int = QUA
         for i, j in zip(*pairs):
             earlier[max(i, j)].append(balls[min(i, j)])
     ang = ring_angles(n_angular)
-    all_nodes = []
-    all_weights = []
+    rules = []
     for e, before in zip((pseudo_to_euclidean(b) for b in balls), earlier):
         r, w = disk_rule(e.radius, n_radial, n_angular)
         nodes = e.center + r[:, None] * np.exp(1j * ang[None, :])
+        own = np.ones(nodes.shape, dtype=bool)
+        for b2 in before:
+            own &= psi_array(nodes, b2.center) >= b2.radius
+        rules.append((e, r, w, nodes, own))
+    return rules
+
+
+def domain_quadrature(domain, n_radial: int = QUAD_GRID[0], n_angular: int = QUAD_GRID[1]):
+    """Quadrature nodes/weights for dA over a pseudohyperbolic disk or a
+    union-of-balls domain.
+
+    Gauss-Legendre radial x uniform angular per ball; in a union, a node
+    not owned by its ball (_ball_rules) has weight 0, so overlaps count
+    once.  The single-disk rule integrates |polynomial|^2 exactly for
+    degrees below the node counts.
+    """
+    all_nodes = []
+    all_weights = []
+    for _, _, w, nodes, own in _ball_rules(domain, n_radial, n_angular):
         weights = np.broadcast_to(w[:, None], nodes.shape).copy()
-        if before:
-            own = np.ones(nodes.shape, dtype=bool)
-            for b2 in before:
-                own &= psi_array(nodes, b2.center) >= b2.radius
-            weights[~own] = 0.0
+        weights[~own] = 0.0
         all_nodes.append(nodes.ravel())
         all_weights.append(weights.ravel())
     return np.concatenate(all_nodes), np.concatenate(all_weights)
@@ -351,12 +364,13 @@ def _holder_bracket(u, b, M, weights, p, delta):
 
 
 def _tsqr_r(A, overwrite_q=False):
-    """R of a QR factorisation A = Q R of the matrix A, which has at least
-    as many rows as columns (R's rows up to unit factors): Householder QR
-    of row blocks of QR_BLOCK, then of their stacked R factors, so it is as
-    backward stable as one QR of A.  With overwrite_q, A is overwritten by
-    Q, each block's Q times its rows of the second QR's Q, and no other
-    array of A's size is formed."""
+    """R of a QR factorisation A = Q R of the matrix A (R's rows up to unit
+    factors; min(rows, columns) of them): Householder QR of row blocks of
+    QR_BLOCK, then of their stacked R factors, so it is as backward stable
+    as one QR of A.  With overwrite_q, A is overwritten by Q, each block's
+    Q times its rows of the second QR's Q, and no other array of A's size
+    is formed.  It factors a union's whole basis values at p != 2, and at
+    p = 2 only those at the nodes of its partly owned rings (_union_r)."""
     blocks = range(0, len(A), QR_BLOCK)
     Rs = []
     for lo in blocks:
@@ -385,21 +399,76 @@ def _rank(sv, rows, basis_size):
     return sv > sv.max() * np.finfo(float).eps * max(rows, basis_size)
 
 
+def _ring_norms(r, w, s, n_t, basis_size):
+    """nu_l = (n_t sum_j w_j (r_j/s)^(2l))^(1/2), l < basis_size: the
+    quadrature norm of ((z - c)/s)^l over rings of radii r_j about c, n_t
+    nodes of weight w_j on ring j."""
+    powers = (r / s)[:, None] ** np.arange(basis_size)
+    return np.sqrt(n_t * (w @ powers ** 2))
+
+
+def _weighted_monomials(x, weights, basis_size):
+    """sqrt(weights) x^k for k < basis_size, column by column in Fortran
+    order, so that each column is contiguous."""
+    A = np.empty((len(x), basis_size), dtype=complex, order="F")
+    A[:, 0] = np.sqrt(weights)
+    for k in range(1, basis_size):
+        np.multiply(A[:, k - 1], x, out=A[:, k])
+    return A
+
+
+def _union_r(domain, center, basis_size, grid):
+    """(R, s, rows): an upper-triangular R with R^H R = A^H A for the
+    weighted scaled monomials A = sqrt(w) ((z - center)/s)^k at the `rows`
+    nodes a union of balls owns (_ball_rules), s the largest |z - center|
+    among them, without forming A.
+
+    On a ring of radius r about ball j's Euclidean centre c_j,
+    ((z - center)/s)^k = sum_{l <= k} C(k, l) a^(k - l) (r/s)^l e^(il theta),
+    a = (c_j - center)/s, and the e^(il theta) for l < n_t are orthogonal
+    over the ring's n_t angles.  So the rows of the rings the ball owns in
+    full have the exact triangle diag(nu) P, nu from _ring_norms over those
+    rings and P[l, k] = C(k, l) a^(k - l).  Only the owned nodes of rings
+    owned in part are formed, and reduced by _tsqr_r; R is the R of their
+    factor stacked over the triangles.  The triangles go last: rows of very
+    different size at the top of an unpivoted Householder QR cost it about
+    a digit.
+    """
+    rules = _ball_rules(domain, *grid)
+    s = max(float(np.abs(z[own] - center).max(initial=0.0)) for _, _, _, z, own in rules)
+    k = np.arange(basis_size)
+    binom = np.array([[comb(kk, ll) for kk in k] for ll in k], dtype=float)
+    part_x, part_w, triangles = [], [], []
+    for e, r, w, nodes, own in rules:
+        full = own.all(axis=1)
+        part = own & ~full[:, None]
+        part_x.append((nodes[part] - center) / s)
+        part_w.append(np.broadcast_to(w[:, None], own.shape)[part])
+        if full.any():
+            nu = _ring_norms(r[full], w[full], s, grid[1], basis_size)
+            a = (e.center - center) / s
+            triangles.append(nu[:, None] * binom * a ** np.maximum(k - k[:, None], 0))
+    x = np.concatenate(part_x)
+    if len(x):
+        triangles.insert(0, _tsqr_r(_weighted_monomials(x, np.concatenate(part_w), basis_size)))
+    rows = sum(int(own.sum()) for *_, own in rules)
+    return np.linalg.qr(np.vstack(triangles), mode="r"), s, rows
+
+
 def _disk_constraints(e, points, orders, basis_size, grid, with_span):
     """_basis_constraints on the Euclidean disk e, in closed form.
 
     The scaled monomials ((z - c)/s)^k about its centre are orthogonal in
     the quadrature inner product: on each ring their angular sums are sums
     of roots of unity, which vanish for 0 < |k - k'| < n_t.  Divided by
-    their quadrature norms nu_k, nu_k^2 = n_t sum_j w_j (r_j/s)^(2k), they
-    are orthonormal to rounding with no QR, and nu holds the singular
-    values.  s is the largest Gauss-Legendre radius.
+    their quadrature norms nu_k (_ring_norms) they are orthonormal to
+    rounding with no QR, and nu holds the singular values.  s is the
+    largest Gauss-Legendre radius.
     """
     n_r, n_t = grid
     r, w = disk_rule(e.radius, n_r, n_t)
     s = float(r.max())
-    powers = (r / s)[:, None] ** np.arange(basis_size)
-    nu = np.sqrt(n_t * (w @ powers ** 2))
+    nu = _ring_norms(r, w, s, n_t, basis_size)
     modes = np.flatnonzero(_rank(nu, n_r * n_t, basis_size))
     C = _constraint_matrix(points, orders, e.center, s, basis_size)[:, modes] / nu[modes]
     if not with_span:
@@ -415,32 +484,30 @@ def _basis_constraints(domain, points, orders, basis_size, grid, with_span):
     values at the quadrature nodes that carry weight, whose weights are
     `weights`; both are None unless `with_span`.  A disk has the closed
     form of _disk_constraints.  On a union of balls the weighted scaled
-    monomials at the owned nodes factor as Q R by the blocked QR, and
-    Q @ Ur is Phi times sqrt(weights) at the nodes; Q is formed, in place
-    of the monomials, only with `with_span`.
+    monomials at the owned nodes factor as Q R, and R's SVD gives Phi.
+    Without `with_span` only R is needed: _union_r QRs the partly owned
+    rings alone, and the rings a ball owns in full enter as closed-form
+    triangles.  With it the blocked QR writes Q over the monomials at
+    every owned node, and Q @ Ur is Phi times sqrt(weights) there.
     """
     balls = [domain] if isinstance(domain, PseudoDisk) else list(domain.balls)
     if len(balls) == 1:
         return _disk_constraints(pseudo_to_euclidean(balls[0]), points, orders, basis_size,
                                  grid, with_span)
     center = np.mean([pseudo_to_euclidean(b).center for b in balls])
-    nodes, weights = domain_quadrature(domain, *grid)
-    owned = weights > 0.0
-    U, weights = nodes[owned] - center, weights[owned]
-    s = float(np.abs(U).max())
-    # sqrt(w) ((z - c)/s)^k at the nodes, column by column in Fortran order,
-    # so that each column is contiguous
-    x = U / s
-    A = np.empty((len(x), basis_size), dtype=complex, order="F")
-    A[:, 0] = np.sqrt(weights)
-    for k in range(1, basis_size):
-        np.multiply(A[:, k - 1], x, out=A[:, k])
-    # R alone carries the singular values and right singular vectors of A
-    R = _tsqr_r(A, overwrite_q=with_span)
-    Q = A if with_span else None
-    del A
+    if with_span:
+        nodes, weights = domain_quadrature(domain, *grid)
+        owned = weights > 0.0
+        U, weights = nodes[owned] - center, weights[owned]
+        s = float(np.abs(U).max())
+        rows = len(U)
+        Q = _weighted_monomials(U / s, weights, basis_size)
+        R = _tsqr_r(Q, overwrite_q=True)
+    else:
+        # R alone carries the singular values and right singular vectors
+        R, s, rows = _union_r(domain, center, basis_size, grid)
     Ur, sa, Wh = np.linalg.svd(R)
-    r = int(_rank(sa, len(x), basis_size).sum())
+    r = int(_rank(sa, rows, basis_size).sum())
     T = Wh[:r].conj().T / sa[:r]  # monomial coefficients of the orthonormal basis
     C = _constraint_matrix(points, orders, center, s, basis_size) @ T
     if not with_span:
@@ -479,11 +546,13 @@ def quotient_norm_general(
     weighted basis values.  Directions whose singular value is below
     eps * (node count) of the largest, which float64 cannot resolve, are
     dropped, as numpy's lstsq drops them.  In that basis the p = 2
-    minimiser is closed form, and at p = 2 its norm is returned (on a
-    union with R from a blocked R-only QR and no Q).  Otherwise damped
-    Newton runs from it on the real and imaginary parts of the null-space
-    coordinates (on the smoothed (|g|^2 + d^2)^(p/2), d shrinking towards
-    0, when p < 2) and the value is returned once the relative gap between
+    minimiser is closed form, and at p = 2 its norm is returned; on a
+    union that needs R alone, and only the nodes of its partly owned rings
+    are QR'd, the rings a ball owns in full entering as closed-form
+    triangles (_union_r).  Otherwise damped Newton runs from it on the
+    real and imaginary parts of the null-space coordinates (on the
+    smoothed (|g|^2 + d^2)^(p/2), d shrinking towards 0, when p < 2) and
+    the value is returned once the relative gap between
     the objective and a Hölder lower bound is at most GAP_TOL: it is then
     certified to GAP_TOL for the discretised problem.  On a disk every
     product with the null-space basis is one FFT per ring of nodes
@@ -611,7 +680,9 @@ def _cluster_factor(domain, points, orders):
     monomials, default grid), the norm is that of the minimum-norm solution
     of C c = w, sqrt(w^H (C C^H)^-1 w); after the feasibility test for
     every unit target (so C has full row rank), F = R^H from the QR of C^H,
-    so F F^H = C C^H.
+    so F F^H = C C^H.  C comes from the union's R factor (_union_r), for
+    which only its partly owned rings are QR'd and the rings a ball owns
+    in full enter as closed-form triangles.
     """
     if domain.is_disk:
         e = pseudo_to_euclidean(domain.balls[0])

@@ -360,15 +360,17 @@ def _all_pairs_quadrature(domain, n_radial, n_angular):
     return np.concatenate(all_nodes), np.concatenate(all_weights)
 
 
+# a closed ring of balls: the last meets the first, far back in order
+_RING = Domain(tuple(PseudoDisk(0.4 * np.exp(2j * np.pi * k / 9), 0.2) for k in range(9)))
+_BLOB = Domain(tuple(PseudoDisk(z, 0.2) for z in (0.0, 0.05, 0.1j, -0.08, 0.3, 0.04 - 0.06j)))
+
+
 def test_domain_quadrature_matches_all_pairs_ownership():
     # only earlier balls that meet a ball are tested against its nodes; the
     # rule must be bit for bit the one that tests every earlier ball
     chain = build_minimal_scheme(
         PointSequence(0.5 * np.exp(1j * np.linspace(0.0, 1.2, 20))), 0.05).domains[0]
-    # a closed ring of balls: the last meets the first, far back in order
-    ring = Domain(tuple(PseudoDisk(0.4 * np.exp(2j * np.pi * k / 9), 0.2) for k in range(9)))
-    blob = Domain(tuple(PseudoDisk(z, 0.2) for z in (0.0, 0.05, 0.1j, -0.08, 0.3, 0.04 - 0.06j)))
-    for domain in (chain, ring, blob):
+    for domain in (chain, _RING, _BLOB):
         for grid in ((24, 96), (64, 256)):
             nodes, weights = domain_quadrature(domain, *grid)
             want_nodes, want_weights = _all_pairs_quadrature(domain, *grid)
@@ -581,6 +583,45 @@ def test_target_norm_p2_on_a_union_matches_the_quadrature_norm():
     ]
     assert target_norm(scheme, t, 2.0) == pytest.approx(math.sqrt(sum(q * q for q in parts)),
                                                         rel=1e-12)
+
+
+def _union_of(scheme):
+    (i,) = [i for i, d in enumerate(scheme.domains) if not d.is_disk]
+    return i, scheme.domains[i]
+
+
+@pytest.mark.parametrize("grid", [(24, 96), interpolation.QUAD_GRID])
+def test_union_factor_matches_the_owned_rows(grid):
+    # R from _tsqr_r of the partly owned rings and closed-form triangles of
+    # the fully owned ones, against the weighted monomials formed at every
+    # node domain_quadrature gives weight; the disk listed twice is a union
+    # whose second ball owns no node
+    disk = PseudoDisk(0.3 - 0.5j, 0.45)
+    for domain in (_union_of(_jet_union_scheme())[1], _RING, _BLOB, Domain((disk, disk))):
+        center = np.mean([pseudo_to_euclidean(b).center for b in domain.balls])
+        R, s, rows = interpolation._union_r(domain, center, 32, grid)
+        nodes, weights = domain_quadrature(domain, *grid)
+        owned = weights > 0.0
+        assert rows == owned.sum()
+        assert s == np.abs(nodes[owned] - center).max()
+        x = (nodes[owned] - center) / s
+        A = np.sqrt(weights[owned])[:, None] * x[:, None] ** np.arange(32)
+        AhA = A.conj().T @ A
+        assert np.allclose(np.tril(R, -1), 0.0)
+        assert np.linalg.norm(R.conj().T @ R - AhA) <= 1e-12 * np.linalg.norm(AhA)
+
+
+def test_union_p2_norm_within_long_double_bracket():
+    # the two-ball domain of a jet-clusters scheme at the library defaults
+    scheme = _jet_union_scheme()
+    i, domain = _union_of(scheme)
+    rng = np.random.default_rng(4)
+    n = len(scheme.sequence)
+    cons = JetTargets.values_on_scheme(
+        scheme, rng.standard_normal(n) + 1j * rng.standard_normal(n)).per_cluster[i]
+    got = quotient_norm_general(domain, cons, 2.0)
+    _, upper = general_p_bracket(domain, cons, 2.0, 32, interpolation.QUAD_GRID)
+    assert got == pytest.approx(upper, rel=1e-10)
 
 
 def test_target_norm_p2_raises_when_a_union_loses_rank():
