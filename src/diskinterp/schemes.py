@@ -101,11 +101,25 @@ class Domain:
 
         psi is tanh of an additive geodesic distance, so points of the balls
         about c_i and c_j reach hyp_sum(psi(c_i, c_j), hyp_sum(r_i, r_j))
-        apart and no further; i = j gives the diameter of one ball.
+        apart and no further; i = j gives the diameter of one ball, and one
+        ball is taken in closed form.
+
+        With equal radii only the farthest pair of centres matters.  The
+        closed psi-ball about c_i through its farthest centre holds every
+        centre and is a Euclidean disk, and a centre on its edge is no
+        convex combination of the others.  So both centres of a farthest
+        pair are vertices of the centres' Euclidean convex hull, and the
+        pairs are taken over the hull points (_hull) alone.  Mixed radii
+        take every pair.
         """
         r = self.radii
+        if len(r) == 1:
+            return float((r[0] + r[0]) / (1.0 + r[0] * r[0]))
+        c = self.centers
+        if (r == r[0]).all():
+            c, r = c[_hull(c)], r[:1]
         s = (r[:, None] + r[None, :]) / (1.0 + r[:, None] * r[None, :])
-        d = psi_matrix(self.centers, self.centers)
+        d = psi_matrix(c, c)
         return float(((d + s) / (1.0 + d * s)).max())
 
 
@@ -170,6 +184,66 @@ PAIR_BLOCK = 2 ** 18
 # circles of one block, whose index takes the top bits of a sort key.
 SWEEP_BLOCK = 2 ** 17
 SWEEP_CIRCLES = 2 ** 11
+
+
+def _hull(points: np.ndarray) -> np.ndarray:
+    """Sorted indices of the points kept as vertices of their Euclidean
+    convex hull: every true vertex, and any point within rounding of the
+    hull's edge.
+
+    A closed psi-ball is a Euclidean disk, and a point on the edge of a
+    disk is no convex combination of other points of the disk.  So within
+    a finite set the farthest point (in psi) from any point is a hull
+    vertex, and so are both points of a farthest pair.
+
+    A point is dropped only when it lies deeper than tau inside the hull,
+    so that no rounding can drop a true vertex.  With m = min(1 - |z|^2),
+    tau = 64 eps / m^2 also keeps every point that rounding of psi could
+    make a farthest one.  psi = tanh(d/2) for the hyperbolic metric
+    2|dz|/(1 - |z|^2), at least twice the Euclidean one, and
+    1 - psi^2 >= m^2 / 4 for every pair; so from a depth of tau, psi to any
+    point falls at least tau m^2 / 4 = 16 eps short of its maximum over
+    the hull.  Extra points never change a maximum.
+
+    First the points deeper than tau inside the polygon of the extreme
+    points in eight directions are dropped (Akl and Toussaint 1978), all at
+    once.  The rest go through Andrew's monotone chain (1979), sorted by
+    (Re z, Im z), a lower and an upper pass; a pass drops its last point a
+    between o and the new point b when a - o and b - o have a cross product
+    below -tau (|a - o|_1 + |b - o|_1).  Rounding moves each cross product
+    by a few eps times that sum.
+    """
+    n = len(points)
+    if n < 3:
+        return np.arange(n)
+    m = float((1.0 - (points * points.conjugate()).real).min())
+    tau = 64.0 * np.finfo(float).eps / (m * m)
+    # counterclockwise: the extremes at 0, 45, ..., 315 degrees
+    x, y = points.real, points.imag
+    p = points[[x.argmax(), (x + y).argmax(), y.argmax(), (y - x).argmax(),
+                x.argmin(), (x + y).argmin(), y.argmin(), (x - y).argmax()]]
+    e = np.roll(p, -1) - p
+    p, e = p[e != 0], e[e != 0]
+    w = points[:, None] - p
+    # Im(conj(e) w) is the cross product of e and w, > 0 inside; equal
+    # points leave no edge and nothing inside
+    deep = (e.conjugate() * w).imag > tau * (abs(e.real) + abs(e.imag) + abs(w.real) + abs(w.imag))
+    rest = np.flatnonzero(~deep.all(axis=1) | (len(e) == 0))
+    order = rest[np.lexsort((y[rest], x[rest]))]
+    x, y = x[order].tolist(), y[order].tolist()
+    kept = []
+    for sweep in (range(len(order)), range(len(order) - 1, -1, -1)):
+        chain = []
+        for b in sweep:
+            while len(chain) > 1:
+                o, a = chain[-2], chain[-1]
+                ax, ay, bx, by = x[a] - x[o], y[a] - y[o], x[b] - x[o], y[b] - y[o]
+                if ax * by - ay * bx >= -tau * (abs(ax) + abs(ay) + abs(bx) + abs(by)):
+                    break
+                chain.pop()
+            chain.append(b)
+        kept += chain
+    return np.unique(order[kept])
 
 
 def _touching_pairs(centers: np.ndarray, radii: np.ndarray):
@@ -288,14 +362,18 @@ def build_minimal_scheme(Z: PointSequence, eps: float) -> InterpolationScheme:
 def build_maximal_scheme(Z: PointSequence, eps: float) -> InterpolationScheme:
     """Same clusters as the minimal scheme, each domain replaced by a single
     ball: center = the cluster member minimizing the maximum psi to the
-    others (ties to the lowest index), radius = that minimax value + eps."""
+    others (ties to the lowest index), radius = that minimax value + eps.
+
+    A member's farthest member is a vertex of the cluster's Euclidean
+    convex hull (see _hull), so each member's largest psi is taken over the
+    h hull points alone: an m x h matrix, with the same floats as the
+    m x m one."""
     base = build_minimal_scheme(Z, eps)
     domains = []
     max_diam = 0.0
     for k, c in enumerate(base.clusters):
         pts = base.cluster_points(k)
-        d = psi_matrix(pts, pts)
-        worst = d.max(axis=1)
+        worst = psi_matrix(pts, pts[_hull(pts)]).max(axis=1)
         best = int(np.argmin(worst))  # argmin takes the first (lowest index) tie
         radius = float(worst[best]) + eps
         if radius >= DIAMETER_CAP:
@@ -540,14 +618,23 @@ def overlap_bound(s: InterpolationScheme) -> int:
 
 def check_admissibility(s: InterpolationScheme) -> AdmissibilityReport:
     """Measure R, eps, delta, B from the scheme data and compare against the
-    declared constants.  Failures are reported, never raised."""
+    declared constants.  Failures are reported, never raised.
+
+    Inner radius: a cluster point at psi-distance t from the centre of a
+    ball of radius r sees (r - t)/(1 - r t) of room to that ball's edge.
+    The best ball per point, least over points, is a lower bound: exact on
+    one-ball domains, <= 0 if a point lies outside its domain.  One-ball
+    domains are measured at once, each point against its own ball, and a
+    ball's diameter is hyp_sum(r, r).  On the other domains only a ball
+    that holds a point gives it positive room, so each point is measured
+    against the balls of its domain that _touching_pairs finds holding it
+    (points as disks of radius 0); a point with no positive room there,
+    outside its domain or on its edge, is measured against every ball of
+    its domain.  A holding ball is missed only by rounding of psi in the
+    candidate test, with the point on its edge to rounding: the bound
+    stays a lower bound.
+    """
     tol = 1e-9
-    # inner radius: a cluster point at psi-distance t from the centre of a
-    # ball of radius r sees (r - t)/(1 - r t) of room to that ball's edge.
-    # The best ball per point, least over points, is a lower bound: exact
-    # on one-ball domains, <= 0 if a point lies outside its domain.
-    # One-ball domains are measured at once, each point against its own
-    # ball, and a ball's diameter is hyp_sum(r, r); the others one by one.
     meas_R, meas_eps = 0.0, np.inf
     disks = [k for k, d in enumerate(s.domains) if d.is_disk]
     if disks:
@@ -559,13 +646,30 @@ def check_admissibility(s: InterpolationScheme) -> AdmissibilityReport:
         z = s.sequence.array[np.concatenate([s.clusters[k].members for k in disks])]
         t = psi_array(z, c)
         meas_eps = float(((r - t) / (1.0 - r * t)).min())
-    for k, d in enumerate(s.domains):
-        if d.is_disk:
-            continue
-        meas_R = max(meas_R, d.diameter())
-        t = psi_matrix(s.cluster_points(k), d.centers)
-        room = (d.radii - t) / (1.0 - d.radii * t)
-        meas_eps = min(meas_eps, float(room.max(axis=1).min()))
+    multi = [k for k, d in enumerate(s.domains) if not d.is_disk]
+    if multi:
+        meas_R = max(meas_R, max(s.domains[k].diameter() for k in multi))
+        z = s.sequence.array[np.concatenate([s.clusters[k].members for k in multi])]
+        owner = np.repeat(np.arange(len(multi)), [len(s.clusters[k]) for k in multi])
+        c = np.concatenate([s.domains[k].centers for k in multi])
+        r = np.concatenate([s.domains[k].radii for k in multi])
+        label = np.repeat(np.arange(len(multi)), [len(s.domains[k].balls) for k in multi])
+        # radius-0 points meet no other point: a pair whose lower index is
+        # a point is a point and a ball holding it
+        a, b = _touching_pairs(np.concatenate([z, c]), np.concatenate([np.zeros(len(z)), r]))
+        a, b = np.minimum(a, b), np.maximum(a, b) - len(z)
+        keep = a < len(z)
+        a, b = a[keep], b[keep]
+        keep = owner[a] == label[b]
+        a, b = a[keep], b[keep]
+        t = psi_array(z[a], c[b])
+        best = np.full(len(z), -np.inf)
+        np.maximum.at(best, a, (r[b] - t) / (1.0 - r[b] * t))
+        for i in np.flatnonzero(best <= 0.0):
+            own = label == owner[i]
+            t = psi_array(z[i], c[own])
+            best[i] = ((r[own] - t) / (1.0 - r[own] * t)).max()
+        meas_eps = min(meas_eps, float(best.min()))
     meas_delta = _measured_separation(s.sequence, s.clusters)
     meas_B = max(len(c) for c in s.clusters)
     dens = bounded_density(s.sequence, min(max(meas_R, 1e-3), 0.999))

@@ -381,8 +381,9 @@ def _per_domain_measures(s):
 
 
 def test_admissibility_matches_the_per_domain_loop():
-    # one-ball domains are measured in array operations; the report must
-    # equal the domain-by-domain measurement exactly
+    # one-ball domains are measured in array operations and the others
+    # from point-ball pairs; the report must equal the domain-by-domain
+    # measurement against every ball exactly
     rng = np.random.default_rng(0)
     z = 0.9 * np.sqrt(rng.uniform(size=2000)) * np.exp(2j * np.pi * rng.uniform(size=2000))
     cloud = build_minimal_scheme(PointSequence(z), 0.02)
@@ -392,9 +393,120 @@ def test_admissibility_matches_the_per_domain_loop():
     assert {len(d.balls) for d in mixed.domains} == {1, 2}
     # one ball per cluster with radii that differ from cluster to cluster
     maximal = build_maximal_scheme(mixed_points, 0.05)
-    for s in (cloud, mixed, maximal):
+    # one component of 300 balls
+    component = build_minimal_scheme(PointSequence(spiral_cloud(1)), 0.05)
+    assert len(component.clusters) == 1
+    # one-ball domains, 0.8 outside the ball about 0.5
+    outside = InterpolationScheme(
+        sequence=PointSequence([0.0, 0.8]),
+        clusters=(Cluster((0,)), Cluster((1,))),
+        domains=(Domain((PseudoDisk(0.0, 0.05),)), Domain((PseudoDisk(0.5, 0.05),))),
+        diameter=0.1, inner_radius=0.05, separation=0.8, cluster_bound=1,
+    )
+    # 0.3 lies outside both balls of its domain, inside one of the other
+    # domain's: measured against each ball of its own
+    far = InterpolationScheme(
+        sequence=PointSequence([0.0, 0.04, 0.3, 0.32]),
+        clusters=(Cluster((0, 1, 2)), Cluster((3,))),
+        domains=(Domain((PseudoDisk(0.0, 0.05), PseudoDisk(0.04, 0.05))),
+                 Domain((PseudoDisk(0.32, 0.05), PseudoDisk(0.36, 0.05)))),
+        diameter=0.4, inner_radius=0.05, separation=0.02, cluster_bound=3,
+    )
+    # mixed radii in one domain: 0.1 is held by both balls, 0.14 by the
+    # small one alone
+    mixed_radii = InterpolationScheme(
+        sequence=PointSequence([0.0, 0.1, 0.14, 0.5j]),
+        clusters=(Cluster((0, 1, 2)), Cluster((3,))),
+        domains=(Domain((PseudoDisk(0.0, 0.2), PseudoDisk(0.12, 0.05))),
+                 Domain((PseudoDisk(0.5j, 0.1),))),
+        diameter=0.5, inner_radius=0.02, separation=0.3, cluster_bound=3,
+    )
+    for s in (cloud, mixed, maximal, component, outside, far, mixed_radii):
         rep = check_admissibility(s)
         assert (rep.measured_diameter, rep.measured_inner_radius) == _per_domain_measures(s)
+    assert check_admissibility(far).measured_inner_radius < 0.0
+    assert not check_admissibility(far).p2_ok
+    assert check_admissibility(mixed_radii).p2_ok
+
+
+def pairwise_diameter(domain):
+    """Diameter of a ball union from every pair of balls."""
+    c, r = domain.centers, domain.radii
+    s = (r[:, None] + r[None, :]) / (1.0 + r[:, None] * r[None, :])
+    d = psi_matrix(c, c)
+    return float(((d + s) / (1.0 + d * s)).max())
+
+
+# a centre t e^(i angle), |t| <= 0.999, and `copies` more moved inward by
+# k * ulps units of 2^-53 (ulps = 0: exact repeats)
+centre_specs = st.tuples(
+    st.floats(-0.999, 0.999), st.floats(0.0, 2.0 * np.pi), st.integers(0, 3), st.integers(0, 4)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(centre_specs, min_size=1, max_size=20),
+       st.none() | st.floats(0.0, np.pi), st.floats(1e-3, 0.9))
+def test_diameter_over_hull_pairs_is_the_pairwise_one(specs, axis, r):
+    # axis: every centre on the diameter at that angle, collinear to rounding
+    centres = []
+    for t, angle, copies, ulps in specs:
+        c = t * np.exp(1j * (angle if axis is None else axis))
+        centres += [c * (1.0 - k * ulps * 2.0 ** -53) for k in range(copies + 1)]
+    dom = Domain(tuple(PseudoDisk(c, r) for c in centres))
+    if len(centres) == 1:
+        assert dom.diameter() == (r + r) / (1.0 + r * r)
+    else:
+        assert dom.diameter() == pairwise_diameter(dom)
+
+
+def test_maximal_balls_are_the_dense_minimax():
+    # every member's largest psi over all members, least one to the lowest
+    # index, against the scheme's one ball per cluster
+    def dense(s, eps):
+        balls = []
+        for k in range(len(s.clusters)):
+            pts = s.cluster_points(k)
+            worst = psi_matrix(pts, pts).max(axis=1)
+            best = int(np.argmin(worst))
+            balls.append((pts[best], float(worst[best]) + eps))
+        return balls
+
+    square = 0.02 * np.array([1, 1j, -1, -1j])
+    hexagon = moebius_many(0.5, 0.02 * np.exp(1j * np.pi / 3 * np.arange(6)))
+    sets = [
+        # the four vertices tie exactly: the first must win
+        (square, 0.015),
+        # the hexagon about a member given twice, out of index order
+        (np.concatenate([hexagon[:2], [0.5], hexagon[2:], [0.5]]), 0.015),
+        (spiral_cloud(1), 0.05),
+    ]
+    for z, eps in sets:
+        s = build_maximal_scheme(PointSequence(z), eps)
+        assert len(s.clusters) == 1
+        assert [(d.balls[0].center, d.balls[0].radius) for d in s.domains] == dense(s, eps)
+    worst = psi_matrix(square, square).max(axis=1)
+    assert (worst == worst[0]).all()
+    assert build_maximal_scheme(PointSequence(square), 0.015).domains[0].balls[0].center == square[0]
+
+
+def test_scheme_geometry_forms_no_square_matrix():
+    # one component of 1,500 balls, where a single 1,500 x 1,500 complex
+    # matrix takes 36 MB; the check's peak is bounded_density's pair list
+    z = spiral_cloud(0, n=1500, rmax=0.3)
+    tracemalloc.start()
+    try:
+        s = build_minimal_scheme(PointSequence(z), 0.009)
+        build_maximal_scheme(PointSequence(z), 0.009)
+        build_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        check_admissibility(s)
+        check_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(s.clusters) == 1
+    assert build_peak <= 16 * 2 ** 20
+    assert check_peak <= 48 * 2 ** 20
 
 
 def test_overlap_bound_disjoint():
