@@ -194,6 +194,33 @@ def harmonic_majorant_gap(
     return green_potential(laplacian_values, z) - c_cal * lap_sup
 
 
+# consecutive powers e of the ring ratio that one triangle T_e serves in
+# cauchy_transform: each of its two real matrix products per block has
+# 2 CAUCHY_BLOCK right-hand columns
+CAUCHY_BLOCK = 32
+# entries of T_e below this fraction of 2 pi dr are set to 0 before a block's
+# products: their terms lie hundreds of binary orders below the rounding of
+# the ring sums, and as subnormal numbers they slow each product
+CAUCHY_FLOOR = 2.0 ** -600
+
+
+def _ratio_powers(x, n):
+    """x ** n and x ** CAUCHY_BLOCK (None when n < CAUCHY_BLOCK) by
+    repeated squaring of x in place: one product a pass, where a power
+    call costs several."""
+    xn = xk = None
+    b = 1
+    while True:
+        if n & b:
+            xn = x.copy() if xn is None else np.multiply(xn, x, out=xn)
+        if b == CAUCHY_BLOCK:
+            xk = x.copy()
+        b <<= 1
+        if b > n:
+            return xn, xk
+        np.square(x, out=x)
+
+
 def cauchy_transform(g: GridFunction) -> GridFunction:
     """Particular solution u(z) = -(1/pi) int g(w)/(w - z) dA(w) of
     d-bar u = g over the grid disk.
@@ -219,11 +246,21 @@ def cauchy_transform(g: GridFunction) -> GridFunction:
     Times the area t dr dtheta, n/t becomes 2 pi dr, the self-ring term no
     longer depends on the ring, and with the triangle
     T_e = 2 pi dr x^e / (1 - x^n) on t > r the part t < r at power e is
-    -T_{e+1} transposed.  So one n_r x n_r triangle, multiplied in place by
-    x for e = 0..n, gives mode (e+1) mod n from T_e and mode (1-e) mod n
-    from -T_e^T, each by a real matrix product on the (Re, Im) pairs of that
-    mode.  S2(z) = sum_w area_w/(w - z) is S1 for g = 1, whose only nonzero
-    mode is m = 0.
+    -T_{e+1} transposed.  So for e = 0..n, T_e gives mode (e+1) mod n
+    (e < n) and -T_e^T mode (1-e) mod n (e > 0).
+
+    The ratio is separable: x_ij = rho_i / rho_j with rho_i = i + 1/2 the
+    ring radius over dr, so T_{e0+k} = diag(rho^k) T_{e0} diag(rho^-k).
+    One triangle T_{e0} therefore serves the K = CAUCHY_BLOCK powers
+    e = e0 + k, k < K: the part t > r is the one real product
+    T_{e0} [rho^-k G_{e+1}] and the part t < r is T_{e0}^T [rho^k G_{1-e}],
+    each column pair rescaled by rho^k or rho^-k after, in place of one
+    matrix-vector product per power.  Scaling by rho, not by r, keeps every
+    factor in [n_r^-K, n_r^K] whatever max_radius is.  T_{e0+K} = T_{e0} x^K
+    (entries below CAUCHY_FLOOR of 2 pi dr set to 0), and x^n and x^K come
+    from repeated squaring.  S2(z) = sum_w area_w/(w - z) is S1 for g = 1,
+    whose only nonzero mode is m = 0: the row sums of T_{n-1}, the column
+    sums of -T_1 and the self ring.
     """
     spec = g.spec
     n_r, n = spec.n_radial, spec.n_angular
@@ -231,38 +268,63 @@ def cauchy_transform(g: GridFunction) -> GridFunction:
     dr = spec.max_radius / n_r
     dt = 2.0 * np.pi / n
     vals = g.values
-
-    # mode-major spectra: row m holds the n_r values of mode m as (Re, Im)
-    # pairs, so each real product below reads and writes contiguous blocks
-    G = np.ascontiguousarray(np.fft.fft(vals, axis=1).T)
-    G_ri = G.view(float).reshape(n, n_r, 2)
-    S1 = G * (-dr * dt * ((n - 1) / 2.0 - (-np.arange(n) % n)))[:, None]  # self ring
-    S1_ri = S1.view(float).reshape(n, n_r, 2)
+    K = CAUCHY_BLOCK
 
     # row i: z ring r = radii[i]; column j: w ring t = radii[j]
-    x = np.triu(radii[:, None] / radii[None, :], 1)  # r/t where t > r, else 0
-    kern = 2.0 * np.pi * dr / (1.0 - x ** n)
-    # S2 = mode 0 of S1 for g = 1: row sums of T_{n-1} and -T_1^T, self ring
-    s2 = (kern * x ** (n - 1)).sum(axis=1) - (kern * x).sum(axis=0) - dr * dt * (n - 1) / 2.0
-    kern *= x > 0.0  # T_0
-    prod = np.empty((n_r, 2))
-    for e in range(n + 1):
-        if e:
-            kern *= x
-            m = (1 - e) % n
-            S1_ri[m] -= np.matmul(kern.T, G_ri[m], out=prod)
-        if e < n:
-            m = (e + 1) % n
-            S1_ri[m] += np.matmul(kern, G_ri[m], out=prod)
-    del G, G_ri, S1_ri, kern, x  # the spectra go before the inverse FFT
+    rho = np.arange(n_r) + 0.5
+    x = np.triu(np.divide.outer(rho, rho), 1)  # r/t where t > r, else 0
+    xn, xk = _ratio_powers(x, n)
+    del x
+    np.subtract(1.0, xn, out=xn)
+    kern = np.triu(np.divide(2.0 * np.pi * dr, xn, out=xn), 1)  # T_0
+    del xn
+    floor = 2.0 * np.pi * dr * CAUCHY_FLOOR
+    # rho^k and rho^-k for k < K, each twice: the Re and Im columns of a mode
+    up = np.repeat(rho[:, None] ** np.arange(K), 2, axis=1)
+    down = 1.0 / up
+    # S2 = mode 0 of S1 for g = 1: row sums of T_{n-1} (in the loop) and
+    # of -T_1^T, and the self ring
+    s2 = -(rho @ kern) / rho - dr * dt * (n - 1) / 2.0
+
+    # column c of the spectra holds mode c + 1 (the DFT of g e^{-i phi}), so
+    # power e reads column e for t > r and column n - e for t < r; the real
+    # view holds each column as an adjacent (Re, Im) pair
+    phase = np.exp(-1j * spec.angles)
+    G = np.fft.fft(vals * phase, axis=1)
+    S1 = G * (dr * dt * ((n - 1) / 2.0 - np.arange(n)))  # self ring
+    Gf, Sf = G.view(float), S1.view(float)
+    for e0 in range(0, n + 1, K):
+        if e0:
+            kern *= xk  # T_{e0}
+            kern *= kern >= floor
+        # t > r, powers e0 + k < n: rho^k T_{e0} [rho^-k G], columns ascending in k
+        cols = slice(2 * e0, 2 * min(e0 + K, n))
+        k2 = cols.stop - cols.start
+        if k2:
+            P = kern @ (Gf[:, cols] * down[:, :k2])
+            P *= up[:, :k2]
+            Sf[:, cols] += P
+        # t < r, powers 0 < e0 + k <= n: rho^-k T_{e0}^T [rho^k G], columns
+        # n - e0 - k ascending, so descending in k
+        lo, hi = (1 if e0 == 0 else 0), min(K, n + 1 - e0)
+        cols = slice(2 * (n - e0 - hi + 1), 2 * (n - e0 - lo + 1))
+        P = kern.T @ (Gf[:, cols] * up[:, 2 * lo:2 * hi][:, ::-1])
+        P *= down[:, 2 * lo:2 * hi][:, ::-1]
+        Sf[:, cols] -= P
+        if e0 < n <= e0 + K:  # the row sums of T_{n-1}
+            k = 2 * (n - 1 - e0)
+            s2 += up[:, k] * (kern @ down[:, k])
+    del G, Gf, kern, xk  # the spectra go before the inverse FFT
 
     # u = vals zbar - (S1 - vals S2)/pi with zbar = r e^{-i theta} and
-    # S1, S2 carrying the factor e^{-i theta}
-    u = np.fft.ifft(S1, axis=0).T
-    del S1
+    # S1, S2 carrying the factor e^{-i theta}: the inverse DFT of the shifted
+    # columns gives S1 that factor
+    u = np.fft.ifft(S1, axis=1)
+    del S1, Sf
     u *= -1.0 / np.pi
-    u += vals * (radii + s2 / np.pi)[:, None]
-    u *= np.exp(-1j * spec.angles)[None, :]
+    w = vals * phase
+    w *= (radii + s2 / np.pi)[:, None]
+    u += w
     return GridFunction(spec, u)
 
 
@@ -307,13 +369,12 @@ def weighted_space_norm(
     """L^p(dA_alpha) norm of z -> m_q(|f e^{k_Z}|, z, r): the local q-means
     of the weighted modulus, integrated in p-th power against
     (1-|z|^2)^alpha dA over a polar grid of outer nodes."""
-    if p <= 0.0:
-        raise ValueError(f"p must be positive, got {p}")
-    base = f.as_callable()
+    if not 0.0 < p < math.inf:
+        raise ValueError(f"p must be finite and positive, got {p}")
+    modulus = np.abs(f.values)  # |f| at the nodes, looked up by nearest node
 
     def weighted(z):
-        z = np.asarray(z, dtype=complex)
-        return np.abs(base(z)) * np.exp(k_weight_many(Z, z))
+        return modulus[f.nearest(z)] * np.exp(k_weight_many(Z, z))
 
     n_r, n_t = outer_grid
     rmax = f.spec.max_radius

@@ -29,9 +29,12 @@ def k_weight(Z: PointSequence, zeta) -> float:
     return float(0.5 * abs(z) ** 2 * terms.sum())
 
 
-# (point, node) pairs per block of k_weight_many; at 2^16 a block's
-# temporaries stay in cache
-K_WEIGHT_BLOCK = 2 ** 16
+# (point, node) pairs per block of k_weight_many.  A block's real product
+# holds 2 K_WEIGHT_BLOCK doubles: 256 KB at 2^14, which stays in a 2 MB L2
+# cache with the block's other temporaries.  Measured over 2^12..2^16 at 5,
+# 50 and 500 points, 2^14 was fastest; 2^16 (a 1 MB product) took 1.3-1.7x
+# as long at 50 and 500 points, and 2^12 lost to the per-block overhead
+K_WEIGHT_BLOCK = 2 ** 14
 
 
 def k_weight_many(Z: PointSequence, zetas: np.ndarray) -> np.ndarray:
@@ -188,7 +191,9 @@ def local_means(fun, centers, radii, q, grid: tuple[int, int]) -> np.ndarray:
     rr = midpoint_radii(radius, n_r)
     tt = ring_angles(n_t)
     w = center + rr[:, :, None] * np.exp(1j * tt)[None, None, :]
-    vals = np.abs(np.asarray(fun(w), dtype=complex))
+    vals = np.asarray(fun(w))
+    # a real integrand is taken as real: no complex copy of every node's value
+    vals = np.abs(vals.astype(complex if np.iscomplexobj(vals) else float, copy=False))
     if q == np.inf or q == "inf":
         return vals.max(axis=(1, 2))
     q = float(q)

@@ -168,19 +168,20 @@ class GridFunction:
         count = np.where(kappa < -1.0, n, np.where(kappa < 1.0, arc, 0.0))
         return int(count.sum())
 
-    def as_callable(self):
-        """Nearest-node interpolant (clamped at the rim); vectorized."""
+    def nearest(self, z):
+        """Ring and angle indices of the node nearest each z (rings clamped
+        at the rim), to index the values or any table of their shape."""
         spec = self.spec
         dr = spec.max_radius / spec.n_radial
         dt = 2.0 * np.pi / spec.n_angular
+        z = np.asarray(z, dtype=complex)
+        i = np.clip((np.abs(z) / dr - 0.5).round().astype(int), 0, spec.n_radial - 1)
+        j = np.mod((np.angle(z) / dt).round().astype(int), spec.n_angular)
+        return i, j
 
-        def fun(z):
-            z = np.asarray(z, dtype=complex)
-            i = np.clip((np.abs(z) / dr - 0.5).round().astype(int), 0, spec.n_radial - 1)
-            j = np.mod((np.angle(z) / dt).round().astype(int), spec.n_angular)
-            return self.values[i, j]
-
-        return fun
+    def as_callable(self):
+        """Nearest-node interpolant (clamped at the rim); vectorized."""
+        return lambda z: self.values[self.nearest(z)]
 
     def integrate(self) -> complex:
         """Area integral over the grid disk (midpoint rule)."""

@@ -881,8 +881,8 @@ def weighted_norms(
     times a uniform angular rule."""
     if alpha <= -1.0:
         raise ValueError(f"alpha must be > -1, got {alpha}")
-    if p <= 0.0:
-        raise ValueError(f"p must be positive, got {p}")
+    if not 0.0 < p < np.inf:
+        raise ValueError(f"p must be finite and positive, got {p}")
     fun = rep_as_callable(f)
     n_r, n_t = grid
     x, wx = gauss_jacobi(n_r, alpha)  # weight (1-x)^alpha on [-1, 1]

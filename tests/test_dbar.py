@@ -3,8 +3,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from diskinterp.dbar import (
+    CAUCHY_BLOCK,
     GREEN_POTENTIAL_CALIBRATION,
     TauSpec,
     cauchy_transform,
@@ -242,17 +245,49 @@ def test_cauchy_transform_matches_fft_loop(n_r, n_t):
     assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
 
 
-def test_cauchy_transform_memory():
-    # no n_r x n_r x n_t kernel array: the peak stays within ten grid arrays
-    spec = PolarGridSpec(200, 200, 0.995)
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(16, 40),
+    st.sampled_from([16, CAUCHY_BLOCK - 1, CAUCHY_BLOCK, CAUCHY_BLOCK + 1,
+                     2 * CAUCHY_BLOCK, 2 * CAUCHY_BLOCK + 3, 3 * CAUCHY_BLOCK - 1]),
+    st.one_of(st.floats(1e-9, 0.999), st.sampled_from([1e-9, 1e-5, 0.999])),
+    st.integers(0, 2 ** 32 - 1),
+)
+@example(16, CAUCHY_BLOCK + 1, 1e-9, 0)
+@example(40, 3 * CAUCHY_BLOCK - 1, 1e-9, 1)
+def test_cauchy_transform_blocks_match_fft_loop(n_r, n_t, max_radius, seed):
+    # random samples on grids with fewer, as many and more angles than one
+    # block of powers serves, out to max_radius = 1e-9, where powers of the
+    # radii themselves would overflow the block's scalings
+    spec = PolarGridSpec(n_r, n_t, max_radius)
+    rng = np.random.default_rng(seed)
+    g = GridFunction(spec, rng.standard_normal((n_r, n_t)) + 1j * rng.standard_normal((n_r, n_t)))
+    got = cauchy_transform(g).values
+    expect = cauchy_transform_fft_loop(g)
+    assert np.isfinite(got).all()
+    assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
+
+
+def _cauchy_peak(n):
+    spec = PolarGridSpec(n, n, 0.995)
     g = GridFunction.sample(lambda z: z, spec)
     tracemalloc.start()
     try:
         cauchy_transform(g)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 10 * 200 * 200 * 16
+
+
+def test_cauchy_transform_memory():
+    # no n_r x n_r x n_t kernel array: the peak stays within ten grid arrays
+    assert _cauchy_peak(200) <= 10 * 200 * 200 * 16
+
+
+def test_cauchy_transform_memory_at_400():
+    # the spectra, the result and two n_r x n_r triangles: at most four
+    # grid arrays
+    assert _cauchy_peak(400) <= 4 * 400 * 400 * 16
 
 
 def test_cauchy_transform_linearity():
@@ -343,6 +378,14 @@ def test_weighted_space_norm_matches_local_mean_loop(q):
     got = weighted_space_norm(f, Z, 2.0, q, r=0.5, alpha=1.0)
     expect = weighted_space_norm_loop(f, Z, 2.0, q, 0.5, 1.0)
     assert got == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [math.inf, -math.inf, math.nan])
+def test_weighted_space_norm_rejects_non_finite_p(p):
+    # total ** (1 / inf) = 1 would report 1 for every f
+    f = GridFunction.sample(lambda z: 100.0 * np.ones_like(z), PolarGridSpec(64, 128, 0.9))
+    with pytest.raises(ValueError, match="finite"):
+        weighted_space_norm(f, PointSequence([0.2]), p, 2.0, r=0.4)
 
 
 def test_weighted_space_norm_grid_too_coarse():

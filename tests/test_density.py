@@ -12,6 +12,7 @@ from diskinterp.density import (
     k_weight,
     k_weight_many,
     local_mean,
+    local_means,
 )
 from diskinterp.errors import EmptyGrid
 from diskinterp.geometry import PseudoDisk, pseudo_to_euclidean
@@ -169,6 +170,19 @@ def test_local_mean_constant_function():
     for q in (1.0, 2.0, 3.5, np.inf):
         assert local_mean(lambda w: np.full_like(w, 2.0, dtype=complex), 0.3, q, 0.4) \
             == pytest.approx(2.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("q", [1.0, 2.5, np.inf])
+def test_local_means_of_a_real_integrand_match_its_complex_copy(q):
+    # a real integrand is taken without a complex copy, bit for bit
+    def real(w):
+        return np.cos(3.0 * w.real) - w.imag * np.abs(w)
+
+    centers, radii = [0.1 + 0.2j, -0.5j, 0.7], [0.05, 0.2, 0.25]
+    got = local_means(real, centers, radii, q, grid=(12, 16))
+    expect = local_means(lambda w: real(w) + 0j, centers, radii, q, grid=(12, 16))
+    assert got.dtype == float
+    assert np.array_equal(got, expect)
 
 
 def test_local_mean_monotone_in_q():

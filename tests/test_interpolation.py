@@ -946,6 +946,13 @@ def test_weighted_norm_rejects_bad_params():
         weighted_norms(lambda z: z, 0.0)
 
 
+@pytest.mark.parametrize("p", [math.inf, -math.inf, math.nan])
+def test_weighted_norm_rejects_non_finite_p(p):
+    # total ** (1 / inf) = 1 would report 1 for every f
+    with pytest.raises(ValueError, match="finite"):
+        weighted_norms(lambda z: 100.0 * np.ones_like(z), p)
+
+
 def test_weighted_norm_raises_when_the_boundary_dominates():
     # |f|^2 = (1 - |z|^2)^-2 is not integrable: the outer decile of the
     # radial rule carries nearly all of the finite sum
