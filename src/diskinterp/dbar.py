@@ -33,9 +33,6 @@ from .grids import (
 from .reps import rep_as_callable
 from .schemes import PointSequence
 
-DEFAULT_GRID = PolarGridSpec(200, 200, 0.995)
-
-
 @dataclass(frozen=True)
 class TauSpec:
     """Parameters of tau(z) = log(1/(1-|z|^2)) - (p/beta) k_Z(z)."""
@@ -47,8 +44,8 @@ class TauSpec:
     def __post_init__(self):
         if not 0.0 < self.beta < 1.0:
             raise ValueError(f"beta must be in (0,1), got {self.beta}")
-        if self.p <= 0.0:
-            raise ValueError(f"p must be positive, got {self.p}")
+        if not 0.0 < self.p < math.inf:
+            raise ValueError(f"p must be finite and positive, got {self.p}")
 
 
 def tau_eval(spec: TauSpec, zeta) -> float:

@@ -31,7 +31,7 @@ class DiameterOverflow(PreconditionError):
 
 
 class NoValidEpsilon(PreconditionError):
-    """The epsilon search exhausted its range without success."""
+    """No epsilon of at least 1e-6 meets the radius recursion."""
 
 
 class SingularGram(NumericalError):

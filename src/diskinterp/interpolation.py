@@ -830,8 +830,10 @@ def o_interp_weight(Z: PointSequence, coeffs, p: float, alpha: float = 0.0) -> f
     a = Z.array
     if len(np.unique(a)) != len(a):
         raise DuplicatePoint("o_interp_weight requires distinct points")
-    if alpha <= -1.0:
-        raise ValueError(f"alpha must be > -1, got {alpha}")
+    if not -1.0 < alpha < np.inf:
+        raise ValueError(f"alpha must be finite and > -1, got {alpha}")
+    if not 0.0 < p < np.inf:
+        raise ValueError(f"p must be finite and positive, got {p}")
     c = np.asarray(coeffs, dtype=complex)
     n_gamma, delta = _crowding(a)
     return float(
@@ -879,8 +881,8 @@ def weighted_norms(
     """(int_D |f|^p (1-|z|^2)^alpha dA)^(1/p) by Gauss-Jacobi radial (weight
     (1-x)^alpha in x = r^2, so the boundary weight is integrated exactly)
     times a uniform angular rule."""
-    if alpha <= -1.0:
-        raise ValueError(f"alpha must be > -1, got {alpha}")
+    if not -1.0 < alpha < np.inf:
+        raise ValueError(f"alpha must be finite and > -1, got {alpha}")
     if not 0.0 < p < np.inf:
         raise ValueError(f"p must be finite and positive, got {p}")
     fun = rep_as_callable(f)

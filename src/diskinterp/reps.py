@@ -1,9 +1,9 @@
 """Concrete carriers for analytic functions on the disk.
 
-Three representations cover everything the solvers and the worked
+Two representations cover everything the solvers and the worked
 examples produce: combinations of (derivatives of) Bergman kernel
-sections, polynomials in a shifted monomial basis, and sums of products
-of Moebius-factor ratios (Blaschke-Lagrange style interpolants).
+sections, and sums of products of Moebius-factor ratios
+(Blaschke-Lagrange style interpolants).
 """
 
 from __future__ import annotations
@@ -120,38 +120,6 @@ class KernelRep(AnalyticFunctionRep):
                 {"point": [p.real, p.imag], "order": n, "coeff": [c.real, c.imag]}
                 for p, n, c in self.terms
             ],
-        }
-
-
-@dataclass(frozen=True)
-class PolyRep(AnalyticFunctionRep):
-    """f(z) = sum_k a_k (z - center)^k."""
-
-    coefficients: tuple[complex, ...]
-    center: complex = 0.0
-
-    def __call__(self, z):
-        z = np.asarray(z, dtype=complex)
-        u = z - self.center
-        out = np.zeros_like(z)
-        for a in reversed(self.coefficients):
-            out = out * u + a
-        return out
-
-    def derivative(self, z, order: int):
-        z = np.asarray(z, dtype=complex)
-        u = z - self.center
-        out = np.zeros_like(z)
-        for k in range(len(self.coefficients) - 1, order - 1, -1):
-            fall = factorial(k) // factorial(k - order)
-            out = out * u + fall * self.coefficients[k]
-        return out
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "polynomial",
-            "center": [self.center.real, self.center.imag],
-            "coefficients": [[a.real, a.imag] for a in self.coefficients],
         }
 
 

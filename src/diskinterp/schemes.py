@@ -10,6 +10,7 @@ around the points, found by union-find on the ball-intersection graph.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,7 +69,8 @@ class Cluster:
 
 @dataclass(frozen=True)
 class Domain:
-    """Union of pseudohyperbolic balls of a common radius (one or many)."""
+    """Union of pseudohyperbolic balls (one or many); their radii may
+    differ."""
 
     balls: tuple[PseudoDisk, ...]
 
@@ -84,10 +86,6 @@ class Domain:
     @property
     def centers(self) -> np.ndarray:
         return np.array([b.center for b in self.balls], dtype=complex)
-
-    @property
-    def radius(self) -> float:
-        return self.balls[0].radius
 
     @property
     def radii(self) -> np.ndarray:
@@ -321,31 +319,24 @@ def _measured_separation(Z: PointSequence, clusters) -> float:
     return best
 
 
-def build_minimal_scheme(Z: PointSequence, eps: float) -> InterpolationScheme:
-    """Scheme whose domains are the connected components of the union of
-    eps-balls around the points of Z.
-
-    Raises DiameterOverflow if any component has pseudohyperbolic diameter
-    >= 1 - 1e-9 (eps too large for this sequence).
-    """
+def _build(Z: PointSequence, eps: float, domain) -> InterpolationScheme:
+    """The step both builders share.  The clusters are the connected
+    components of the union of eps-balls around the points of Z, and
+    domain(points) gives the domain of a cluster's points.  Raises
+    DiameterOverflow at the first domain whose diameter reaches
+    DIAMETER_CAP, before the separation is measured."""
     if len(Z) == 0:
         raise ValueError("point sequence must be nonempty")
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0,1), got {eps}")
-    comps = _components(Z, eps)
-    clusters = tuple(Cluster(c) for c in comps)
+    clusters = tuple(Cluster(c) for c in _components(Z, eps))
     domains = []
     max_diam = 0.0
-    for c in comps:
-        # one ball per distinct point value, in order of first appearance;
-        # repeats add nothing to the union
-        centers = dict.fromkeys(Z[i] for i in c)
-        dom = Domain(tuple(PseudoDisk(v, eps) for v in centers))
+    for c in clusters:
+        dom = domain(Z.array[list(c.members)])
         diam = dom.diameter()
         if diam >= DIAMETER_CAP:
-            raise DiameterOverflow(
-                f"component diameter {diam} >= {DIAMETER_CAP}; reduce eps"
-            )
+            raise DiameterOverflow(f"domain diameter {diam} >= {DIAMETER_CAP}; reduce eps")
         max_diam = max(max_diam, diam)
         domains.append(dom)
     return InterpolationScheme(
@@ -359,76 +350,63 @@ def build_minimal_scheme(Z: PointSequence, eps: float) -> InterpolationScheme:
     )
 
 
+def build_minimal_scheme(Z: PointSequence, eps: float) -> InterpolationScheme:
+    """Scheme whose domains are the connected components of the union of
+    eps-balls around the points of Z.
+
+    Raises DiameterOverflow if any component has pseudohyperbolic diameter
+    >= 1 - 1e-9 (eps too large for this sequence).
+    """
+    # one ball per distinct point value, in order of first appearance;
+    # repeats add nothing to the union
+    return _build(Z, eps, lambda pts: Domain(tuple(PseudoDisk(v, eps) for v in dict.fromkeys(pts))))
+
+
 def build_maximal_scheme(Z: PointSequence, eps: float) -> InterpolationScheme:
-    """Same clusters as the minimal scheme, each domain replaced by a single
-    ball: center = the cluster member minimizing the maximum psi to the
-    others (ties to the lowest index), radius = that minimax value + eps.
+    """Same clusters, separation and cluster bound as the minimal scheme,
+    each domain a single ball: center = the cluster member minimizing the
+    maximum psi to the others (ties to the lowest index), radius = that
+    minimax value + eps.
 
     A member's farthest member is a vertex of the cluster's Euclidean
     convex hull (see _hull), so each member's largest psi is taken over the
     h hull points alone: an m x h matrix, with the same floats as the
-    m x m one."""
-    base = build_minimal_scheme(Z, eps)
-    domains = []
-    max_diam = 0.0
-    for k, c in enumerate(base.clusters):
-        pts = base.cluster_points(k)
+    m x m one.
+
+    Raises DiameterOverflow if a ball's radius or diameter reaches
+    1 - 1e-9.  The ball holds its cluster's eps-union (the radius is at
+    least hyp_sum(minimax, eps)), so this happens wherever the minimal
+    scheme overflows, and also where only the ball does.
+    """
+    def ball(pts):
         worst = psi_matrix(pts, pts[_hull(pts)]).max(axis=1)
         best = int(np.argmin(worst))  # argmin takes the first (lowest index) tie
         radius = float(worst[best]) + eps
         if radius >= DIAMETER_CAP:
             raise DiameterOverflow(f"maximal-domain radius {radius} >= {DIAMETER_CAP}")
-        dom = Domain((PseudoDisk(pts[best], radius),))
-        max_diam = max(max_diam, dom.diameter())
-        domains.append(dom)
-    return InterpolationScheme(
-        sequence=Z,
-        clusters=base.clusters,
-        domains=tuple(domains),
-        diameter=max_diam,
-        inner_radius=eps,
-        separation=base.separation,
-        cluster_bound=base.cluster_bound,
-    )
+        return Domain((PseudoDisk(pts[best], radius),))
 
-
-def _recursion_reaches(eps: float, B: int, r0: float) -> bool:
-    """Radius recursion e_1 = eps, e_{j+1} = hyp_sum(e_j, diam of eps-ball);
-    True iff e_{B+1} <= r0."""
-    diam = hyp_sum(eps, eps)
-    e = eps
-    for _ in range(B):
-        e = hyp_sum(e, diam)
-        if e > r0:
-            return False
-    return e <= r0
+    return _build(Z, eps, ball)
 
 
 def auto_epsilon(Z: PointSequence, r0: float) -> float:
-    """Largest eps (by bisection, 40 iterations over [1e-6, r0]) whose radius
-    recursion stays below r0 after B steps, B = bounded_density(Z, r0).
+    """Largest eps whose radius recursion e_1 = eps,
+    e_{j+1} = hyp_sum(e_j, hyp_sum(eps, eps)) stays at most r0 after B
+    steps, B = bounded_density(Z, r0).
 
-    The resulting eps guarantees every connected component of the eps-union
-    fits in some ball of radius r0, so build_minimal_scheme succeeds.
+    hyp_sum(s, t) = tanh(artanh s + artanh t), so artanh e_{B+1} =
+    (2B + 1) artanh eps, and that eps is tanh(artanh r0 / (2B + 1)).  It
+    guarantees every connected component of the eps-union fits in some
+    ball of radius r0, so build_minimal_scheme succeeds.  Raises
+    NoValidEpsilon when it is below 1e-6.
     """
     if not 0.0 < r0 < 1.0:
         raise ValueError(f"r0 must be in (0,1), got {r0}")
-    if r0 <= 1e-6:
-        # below the bisection floor even one recursion step overshoots
-        raise NoValidEpsilon(f"r0={r0} is below the bisection floor 1e-6")
     B = bounded_density(Z, r0)
-    lo, hi = 1e-6, r0
-    if not _recursion_reaches(lo, B, r0):
-        raise NoValidEpsilon(f"no eps >= 1e-6 works for B={B}, r0={r0}")
-    if _recursion_reaches(hi, B, r0):
-        return hi
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        if _recursion_reaches(mid, B, r0):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    eps = math.tanh(math.atanh(r0) / (2 * B + 1))
+    if eps < 1e-6:
+        raise NoValidEpsilon(f"eps = {eps} < 1e-6 for B={B}, r0={r0}")
+    return eps
 
 
 def hyperbolic_lattice(max_radius: float, pitch: float) -> np.ndarray:
@@ -620,12 +598,12 @@ def check_admissibility(s: InterpolationScheme) -> AdmissibilityReport:
     """Measure R, eps, delta, B from the scheme data and compare against the
     declared constants.  Failures are reported, never raised.
 
+    R is the largest domain diameter (Domain.diameter).
+
     Inner radius: a cluster point at psi-distance t from the centre of a
     ball of radius r sees (r - t)/(1 - r t) of room to that ball's edge.
     The best ball per point, least over points, is a lower bound: exact on
-    one-ball domains, <= 0 if a point lies outside its domain.  One-ball
-    domains are measured at once, each point against its own ball, and a
-    ball's diameter is hyp_sum(r, r).  On the other domains only a ball
+    one-ball domains, <= 0 if a point lies outside its domain.  Only a ball
     that holds a point gives it positive room, so each point is measured
     against the balls of its domain that _touching_pairs finds holding it
     (points as disks of radius 0); a point with no positive room there,
@@ -635,41 +613,28 @@ def check_admissibility(s: InterpolationScheme) -> AdmissibilityReport:
     stays a lower bound.
     """
     tol = 1e-9
-    meas_R, meas_eps = 0.0, np.inf
-    disks = [k for k, d in enumerate(s.domains) if d.is_disk]
-    if disks:
-        r = np.array([s.domains[k].radius for k in disks])
-        meas_R = float(((r + r) / (1.0 + r * r)).max())
-        size = [len(s.clusters[k]) for k in disks]
-        c = np.repeat([s.domains[k].balls[0].center for k in disks], size)
-        r = np.repeat(r, size)
-        z = s.sequence.array[np.concatenate([s.clusters[k].members for k in disks])]
-        t = psi_array(z, c)
-        meas_eps = float(((r - t) / (1.0 - r * t)).min())
-    multi = [k for k, d in enumerate(s.domains) if not d.is_disk]
-    if multi:
-        meas_R = max(meas_R, max(s.domains[k].diameter() for k in multi))
-        z = s.sequence.array[np.concatenate([s.clusters[k].members for k in multi])]
-        owner = np.repeat(np.arange(len(multi)), [len(s.clusters[k]) for k in multi])
-        c = np.concatenate([s.domains[k].centers for k in multi])
-        r = np.concatenate([s.domains[k].radii for k in multi])
-        label = np.repeat(np.arange(len(multi)), [len(s.domains[k].balls) for k in multi])
-        # radius-0 points meet no other point: a pair whose lower index is
-        # a point is a point and a ball holding it
-        a, b = _touching_pairs(np.concatenate([z, c]), np.concatenate([np.zeros(len(z)), r]))
-        a, b = np.minimum(a, b), np.maximum(a, b) - len(z)
-        keep = a < len(z)
-        a, b = a[keep], b[keep]
-        keep = owner[a] == label[b]
-        a, b = a[keep], b[keep]
-        t = psi_array(z[a], c[b])
-        best = np.full(len(z), -np.inf)
-        np.maximum.at(best, a, (r[b] - t) / (1.0 - r[b] * t))
-        for i in np.flatnonzero(best <= 0.0):
-            own = label == owner[i]
-            t = psi_array(z[i], c[own])
-            best[i] = ((r[own] - t) / (1.0 - r[own] * t)).max()
-        meas_eps = min(meas_eps, float(best.min()))
+    meas_R = max(d.diameter() for d in s.domains)
+    z = s.sequence.array[np.concatenate([c.members for c in s.clusters])]
+    owner = np.repeat(np.arange(len(s.clusters)), [len(c) for c in s.clusters])
+    c = np.concatenate([d.centers for d in s.domains])
+    r = np.concatenate([d.radii for d in s.domains])
+    label = np.repeat(np.arange(len(s.domains)), [len(d.balls) for d in s.domains])
+    # radius-0 points meet no other point: a pair whose lower index is
+    # a point is a point and a ball holding it
+    a, b = _touching_pairs(np.concatenate([z, c]), np.concatenate([np.zeros(len(z)), r]))
+    a, b = np.minimum(a, b), np.maximum(a, b) - len(z)
+    keep = a < len(z)
+    a, b = a[keep], b[keep]
+    keep = owner[a] == label[b]
+    a, b = a[keep], b[keep]
+    t = psi_array(z[a], c[b])
+    best = np.full(len(z), -np.inf)
+    np.maximum.at(best, a, (r[b] - t) / (1.0 - r[b] * t))
+    for i in np.flatnonzero(best <= 0.0):
+        own = label == owner[i]
+        t = psi_array(z[i], c[own])
+        best[i] = ((r[own] - t) / (1.0 - r[own] * t)).max()
+    meas_eps = float(best.min())
     meas_delta = _measured_separation(s.sequence, s.clusters)
     meas_B = max(len(c) for c in s.clusters)
     dens = bounded_density(s.sequence, min(max(meas_R, 1e-3), 0.999))

@@ -84,6 +84,13 @@ def test_o_weight(tmp_path):
     assert rep["results"]["o_interp_weight"] == pytest.approx(4.0 * 0.75 ** 2, rel=1e-12)
 
 
+@pytest.mark.parametrize("p", ["-1", "nan", "inf"])
+def test_o_weight_rejects_bad_p(tmp_path, p):
+    inp = write_doc(tmp_path, "in.json", {"points": [0.5], "coefficients": [2.0]})
+    code, _ = run_cli(tmp_path, ["o-weight", inp, "--p", p])
+    assert code == 3
+
+
 def test_dbar_check(tmp_path):
     inp = write_doc(tmp_path, "in.json", {"g_constant": [1.0, 0.0]})
     code, rep = run_cli(tmp_path, ["dbar-check", inp, "--grid", "64x64"])

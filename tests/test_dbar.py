@@ -76,6 +76,13 @@ def test_tau_spec_validation():
         TauSpec(PointSequence([]), -1.0, 0.5)
 
 
+@pytest.mark.parametrize("p", [math.inf, math.nan])
+def test_tau_spec_rejects_non_finite_p(p):
+    # p = inf made tau -inf, and p = nan made it nan
+    with pytest.raises(ValueError, match="finite"):
+        TauSpec(PointSequence([0.3]), p, 0.5)
+
+
 def test_log_kernel_smooth_reproduces_constants():
     for z in (0.0, 0.4, 0.3 - 0.5j):
         got = log_kernel_smooth(lambda w: np.full(w.shape, 3.25), z)

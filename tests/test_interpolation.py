@@ -44,7 +44,7 @@ from diskinterp.interpolation import (
     two_point_probe_constant,
     weighted_norms,
 )
-from diskinterp.reps import PolyRep, bergman_kernel_deriv
+from diskinterp.reps import BlaschkeLagrangeRep, bergman_kernel_deriv
 from diskinterp.schemes import Domain, PointSequence, build_minimal_scheme
 
 
@@ -902,6 +902,14 @@ def test_o_interp_weight_far_pair_no_penalty():
     assert got == pytest.approx(1.0 + (1.0 - 0.64) ** 2, rel=1e-12)
 
 
+@pytest.mark.parametrize("p, alpha", [(math.nan, 0.0), (-1.0, 0.0), (0.0, 0.0), (math.inf, 0.0),
+                                      (2.0, math.nan), (2.0, math.inf), (2.0, -1.0)])
+def test_o_interp_weight_rejects_bad_params(p, alpha):
+    # p = -1 gave 0.531 and nan parameters gave nan
+    with pytest.raises(ValueError):
+        o_interp_weight(PointSequence([0.0, 0.3]), [1.0, 1.0], p, alpha=alpha)
+
+
 def test_lagrange_cluster_interpolant():
     pts = [0.1, -0.2 + 0.1j, 0.3j]
     vals = [1.0, 2.0 - 1.0j, -0.5]
@@ -934,8 +942,11 @@ def test_weighted_norm_constant():
 
 
 def test_weighted_norm_monomial():
-    # f = z, p = 2, alpha = 0: int |z|^2 dA = pi/2
-    got = weighted_norms(PolyRep((0.0, 1.0)), 2.0)
+    # f = z, p = 2, alpha = 0: int |z|^2 dA = pi/2; f as a rep, the
+    # Moebius ratio 0.5 M_0(z) / M_0(0.5) with M_0(z) = -z
+    f = BlaschkeLagrangeRep(((0.5 + 0j, ((0j, 0.5 + 0j),)),))
+    assert complex(f(np.array(0.3 - 0.2j))) == pytest.approx(0.3 - 0.2j, rel=1e-15)
+    got = weighted_norms(f, 2.0)
     assert got == pytest.approx(math.sqrt(math.pi / 2.0), rel=1e-10)
 
 
@@ -951,6 +962,13 @@ def test_weighted_norm_rejects_non_finite_p(p):
     # total ** (1 / inf) = 1 would report 1 for every f
     with pytest.raises(ValueError, match="finite"):
         weighted_norms(lambda z: 100.0 * np.ones_like(z), p)
+
+
+@pytest.mark.parametrize("alpha", [math.inf, math.nan])
+def test_weighted_norm_rejects_non_finite_alpha(alpha):
+    # both returned nan
+    with pytest.raises(ValueError, match="finite"):
+        weighted_norms(lambda z: 1.0 + 0.0 * z, 2.0, alpha=alpha)
 
 
 def test_weighted_norm_raises_when_the_boundary_dominates():

@@ -11,7 +11,6 @@ from diskinterp.interpolation import weighted_norms
 from diskinterp.reps import (
     BlaschkeLagrangeRep,
     KernelRep,
-    PolyRep,
     bergman_kernel_deriv,
     complex_derivative,
 )
@@ -58,15 +57,6 @@ def test_complex_derivative_of_polynomial():
     )
 
 
-def test_polyrep_eval_and_derivative():
-    f = PolyRep((1.0, 0.0, 3.0))  # 1 + 3 z^2
-    z = np.array(0.4 - 0.1j)
-    assert complex(f(z)) == pytest.approx(1.0 + 3.0 * (0.4 - 0.1j) ** 2, rel=1e-14)
-    assert complex(f.derivative(z, 1)) == pytest.approx(6.0 * (0.4 - 0.1j), rel=1e-14)
-    assert complex(f.derivative(z, 2)) == pytest.approx(6.0, rel=1e-14)
-    assert complex(f.derivative(z, 5)) == 0.0
-
-
 def test_kernelrep_matches_kernel():
     f = KernelRep(((0.2 + 0j, 0, 1.0 + 0j),))
     z = np.array(0.5j)
@@ -105,7 +95,6 @@ def test_blaschke_rep_constant_term():
 
 def test_rep_serialization_roundtrippable():
     for rep in (
-        PolyRep((1.0, 2.0j)),
         KernelRep(((0.1 + 0j, 1, 0.5j),)),
         BlaschkeLagrangeRep(((1.0 + 0j, ((0.2 + 0j, 0.4 + 0j),)),)),
     ):

@@ -18,6 +18,7 @@ from diskinterp.geometry import (
     psi_matrix,
 )
 from diskinterp.schemes import (
+    DIAMETER_CAP,
     Cluster,
     Domain,
     InterpolationScheme,
@@ -151,6 +152,47 @@ def test_diameter_against_boundary_samples(specs):
 def test_diameter_overflow():
     with pytest.raises(DiameterOverflow):
         build_maximal_scheme(PointSequence([-0.99, 0.99]), 0.9999)
+    # the eps-union of 0 and 0.6 has diameter 0.912, but the maximal ball
+    # about 0 has radius 0.6 + 0.39996 and diameter 1 - 8e-10 >= cap
+    Z, eps = PointSequence([0.0, 0.6]), 0.39996
+    s = build_minimal_scheme(Z, eps)
+    assert len(s.clusters) == 1 and s.diameter < 0.92
+    assert 2 * 0.99996 / (1 + 0.99996 ** 2) >= DIAMETER_CAP > 0.99996
+    with pytest.raises(DiameterOverflow):
+        build_maximal_scheme(Z, eps)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 10), st.floats(0.01, 0.9))
+def test_maximal_scheme_shares_the_minimal_step(seed, n, eps):
+    # 1-10 points in |z| < 0.95, some repeated: the same clusters,
+    # separation and cluster bound, and a DiameterOverflow wherever the
+    # minimal builder raises one
+    rng = np.random.default_rng(seed)
+    distinct = 0.95 * np.sqrt(rng.uniform(size=n)) * np.exp(2j * np.pi * rng.uniform(size=n))
+    Z = PointSequence(distinct[rng.integers(0, rng.integers(1, n + 1), n)])
+    try:
+        s = build_minimal_scheme(Z, eps)
+    except DiameterOverflow:
+        with pytest.raises(DiameterOverflow):
+            build_maximal_scheme(Z, eps)
+        return
+    try:
+        m = build_maximal_scheme(Z, eps)
+    except DiameterOverflow:
+        # only a ball overflows: its radius or its diameter reaches the cap
+        radii = []
+        for k in range(len(s.clusters)):
+            pts = s.cluster_points(k)
+            radii.append(float(psi_matrix(pts, pts).max(axis=1).min()) + eps)
+        r = max(radii)
+        assert r >= DIAMETER_CAP or 2 * r / (1 + r * r) >= DIAMETER_CAP
+        return
+    assert m.clusters == s.clusters
+    assert m.separation == s.separation
+    assert m.cluster_bound == s.cluster_bound
+    assert m.inner_radius == s.inner_radius == eps
+    assert m.diameter == max(d.diameter() for d in m.domains) < DIAMETER_CAP
 
 
 def test_separation_positive_for_disjoint_clusters():
@@ -168,6 +210,47 @@ def test_auto_epsilon_recursion_property():
     s = build_minimal_scheme(seq, eps)
     for dom in s.domains:
         assert dom.diameter() <= 2.0 * r0 / (1.0 + r0 * r0) + 1e-9
+
+
+def bisection_epsilon(B, r0):
+    """auto_epsilon as it was found before its closed form: 40 bisection
+    steps over [1e-6, r0] on the radius recursion e_1 = eps,
+    e_{j+1} = hyp_sum(e_j, hyp_sum(eps, eps)), keeping e_{B+1} <= r0."""
+    def reaches(eps):
+        e, diam = eps, hyp_sum(eps, eps)
+        for _ in range(B):
+            e = hyp_sum(e, diam)
+            if e > r0:
+                return False
+        return True
+
+    lo, hi = 1e-6, r0
+    if reaches(hi):
+        return hi
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        if reaches(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 8), st.integers(1, 37), st.floats(0.05, 0.95))
+def test_auto_epsilon_is_the_closed_form(seed, n, copies, r0):
+    # 1-8 distinct points in |z| < 0.9, each taken 1 to `copies` times:
+    # bounded densities from 1 to 296
+    rng = np.random.default_rng(seed)
+    distinct = 0.9 * np.sqrt(rng.uniform(size=n)) * np.exp(2j * np.pi * rng.uniform(size=n))
+    Z = PointSequence(np.repeat(distinct, rng.integers(1, copies + 1, n)))
+    eps = auto_epsilon(Z, r0)
+    B = bounded_density(Z, r0)
+    assert B <= 300
+    assert math.tanh((2 * B + 1) * math.atanh(eps)) == pytest.approx(r0, rel=1e-12)
+    assert eps == pytest.approx(bisection_epsilon(B, r0), rel=1e-9)
+    s = build_minimal_scheme(Z, eps)
+    assert max(d.diameter() for d in s.domains) <= hyp_sum(r0, r0) + 1e-9
 
 
 def test_auto_epsilon_no_solution():
@@ -381,9 +464,8 @@ def _per_domain_measures(s):
 
 
 def test_admissibility_matches_the_per_domain_loop():
-    # one-ball domains are measured in array operations and the others
-    # from point-ball pairs; the report must equal the domain-by-domain
-    # measurement against every ball exactly
+    # every domain is measured from point-ball pairs; the report must
+    # equal the domain-by-domain measurement against every ball exactly
     rng = np.random.default_rng(0)
     z = 0.9 * np.sqrt(rng.uniform(size=2000)) * np.exp(2j * np.pi * rng.uniform(size=2000))
     cloud = build_minimal_scheme(PointSequence(z), 0.02)
@@ -421,7 +503,23 @@ def test_admissibility_matches_the_per_domain_loop():
                  Domain((PseudoDisk(0.5j, 0.1),))),
         diameter=0.5, inner_radius=0.02, separation=0.3, cluster_bound=3,
     )
-    for s in (cloud, mixed, maximal, component, outside, far, mixed_radii):
+    # rim-style: 24 points at |z| = 0.98 and a partner at psi 0.05 inside
+    # every other one, at the auto eps: one- and two-ball domains near the
+    # circle
+    ring = 0.98 * np.exp(2j * np.pi * np.arange(24) / 24)
+    rim_points = PointSequence(np.concatenate([ring, [moebius(z, 0.05 * z / abs(z)) for z in ring[::2]]]))
+    rim = build_minimal_scheme(rim_points, auto_epsilon(rim_points, 0.5))
+    assert [len(d.balls) for d in rim.domains].count(2) == 12
+    assert [len(d.balls) for d in rim.domains].count(1) == 12
+    # maximal: a chain of 13 points at psi steps of 0.05 along [0, 0.54],
+    # and a point at psi 0.15 off its minimax centre whose ball lies inside
+    # the chain's ball
+    chain = np.tanh(math.atanh(0.05) * np.arange(13))
+    nested = build_maximal_scheme(PointSequence(np.append(chain, moebius(chain[6], 0.15j))), 0.03)
+    (big,), (small,) = (d.balls for d in nested.domains)
+    assert big.center == chain[6] and small.radius == 0.03
+    assert psi(big.center, small.center) + small.radius < big.radius
+    for s in (cloud, mixed, maximal, component, outside, far, mixed_radii, rim, nested):
         rep = check_admissibility(s)
         assert (rep.measured_diameter, rep.measured_inner_radius) == _per_domain_measures(s)
     assert check_admissibility(far).measured_inner_radius < 0.0
