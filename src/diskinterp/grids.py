@@ -6,7 +6,8 @@ r_i dr dt make the node set a midpoint quadrature of the disk.
 `disk_rule` is the Gauss-Legendre x uniform-angle rule for dA on a
 Euclidean disk; `gauss_jacobi` and `gauss_laguerre` are the Gauss rules
 for the weights (1 - x)^alpha on [-1, 1] and y^alpha e^-y on [0, inf).
-Every rule raises ValueError for a node count below 1.
+Every rule raises ValueError for a node count below 1, and the Gauss
+rules for an alpha outside (-1, inf).
 """
 
 from __future__ import annotations
@@ -23,6 +24,13 @@ def _check_count(*counts):
     for n in counts:
         if n < 1:
             raise ValueError(f"quadrature node counts must be at least 1, got {n}")
+
+
+def _check_alpha(alpha):
+    """Raise ValueError unless -1 < alpha < inf, where the weight's total
+    mass is finite; nan fails the comparison too."""
+    if not -1.0 < alpha < math.inf:
+        raise ValueError(f"alpha must be finite and > -1, got {alpha}")
 
 
 def ring_angles(n_angular: int) -> np.ndarray:
@@ -64,6 +72,7 @@ def gauss_jacobi(n: int, alpha: float):
     """n-node Gauss rule for the weight (1 - x)^alpha on [-1, 1], alpha > -1,
     read-only, from the recurrence of the Jacobi polynomials P^(alpha, 0)."""
     _check_count(n)
+    _check_alpha(alpha)
     k = np.arange(n, dtype=float)
     s = 2.0 * k + alpha
     diag = -alpha * alpha / np.where(k > 0, s * (s + 2.0), 1.0)
@@ -78,6 +87,7 @@ def gauss_laguerre(n: int, alpha: float):
     """n-node Gauss rule for the weight y^alpha e^-y on [0, inf), alpha > -1,
     read-only, from the recurrence of the Laguerre polynomials L^(alpha)."""
     _check_count(n)
+    _check_alpha(alpha)
     k = np.arange(n, dtype=float)
     return _golub_welsch(2.0 * k + alpha + 1.0, np.sqrt(k[1:] * (k[1:] + alpha)),
                          math.gamma(alpha + 1.0))

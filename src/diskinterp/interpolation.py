@@ -26,7 +26,14 @@ from .errors import (
     QuadratureDivergence,
     SingularGram,
 )
-from .geometry import PseudoDisk, as_complex, psi, psi_array, pseudo_to_euclidean
+from .geometry import (
+    PseudoDisk,
+    as_complex,
+    euclidean_images,
+    psi,
+    psi_array,
+    pseudo_to_euclidean,
+)
 from .grids import disk_rule, gauss_jacobi, ring_angles
 from .reps import (
     AnalyticFunctionRep,
@@ -138,43 +145,44 @@ class SolveReport:
 
 
 def _gram(points, orders, center=0.0, s=1.0):
-    """G[i, j] = d_z^{o_i} d_wbar^{o_j} K(z_i, z_j) for the kernel K of the
-    Euclidean disk (center, s), filled one block per pair of orders."""
+    """G[..., i, j] = d_z^{o_i} d_wbar^{o_j} K(z_i, z_j) for the kernel K of the
+    Euclidean disk (center, s), filled one block per pair of orders.
+    Points of shape (m,) give one m x m matrix; a stack of shape (k, m),
+    with k centres and radii, gives k of them, all with the one order list."""
     z = np.asarray(points, dtype=complex)
+    c = np.asarray(center, dtype=complex)[..., None, None]
+    s = np.asarray(s, dtype=float)[..., None, None]
     o = np.asarray(orders)
     levels = sorted(set(o.tolist()))
     if len(levels) == 1:
         m = levels[0]
-        return bergman_kernel_deriv(z[:, None], z[None, :], m, m, center=center, s=s)
-    G = np.empty((len(z), len(z)), dtype=complex)
+        return bergman_kernel_deriv(z[..., :, None], z[..., None, :], m, m, center=c, s=s)
+    G = np.empty(z.shape + z.shape[-1:], dtype=complex)
     groups = [(k, np.flatnonzero(o == k)) for k in levels]
     for m, rows in groups:
         for n, cols in groups:
-            G[np.ix_(rows, cols)] = bergman_kernel_deriv(
-                z[rows, None], z[None, cols], m, n, center=center, s=s
+            G[..., rows[:, None], cols] = bergman_kernel_deriv(
+                z[..., rows, None], z[..., None, cols], m, n, center=c, s=s
             )
     return G
 
 
 def _kernel_factor(points, orders, center=0.0, s=1.0):
-    """Cholesky factor L of the kernel Gram matrix G = L L^H of the jets on
-    the Euclidean disk (center, s) (_gram), so that the minimum A^2 norm of
-    an interpolant of w is ||L^-1 w||.  Raises SingularGram unless G's
-    2-norm condition number is at most GRAM_CONDITION_LIMIT."""
+    """Cholesky factors L of the kernel Gram matrices G = L L^H of the jets
+    on the Euclidean disks (center, s) (_gram, one matrix or a stack), so
+    that the minimum A^2 norm of an interpolant of w is ||L^-1 w||.  One
+    condition number and one Cholesky call cover the stack.  Raises
+    SingularGram, naming the first matrix of the stack whose 2-norm
+    condition number is not at most GRAM_CONDITION_LIMIT."""
     G = _gram(points, orders, center, s)
-    cond = np.linalg.cond(G)
-    if not np.isfinite(cond) or cond > GRAM_CONDITION_LIMIT:
+    cond = np.ravel(np.linalg.cond(G))
+    # a nan condition number makes the maximum nan, which fails the test
+    if not cond.max() <= GRAM_CONDITION_LIMIT:
+        first = cond[~(cond <= GRAM_CONDITION_LIMIT)][0]
         raise SingularGram(
-            f"Gram condition number {cond:.3e} exceeds {GRAM_CONDITION_LIMIT:.0e}"
+            f"Gram condition number {first:.3e} exceeds {GRAM_CONDITION_LIMIT:.0e}"
         )
     return np.linalg.cholesky(G)
-
-
-def _p2_norm(domain, constraints) -> float:
-    """The p = 2 quotient norm ||F^-1 w|| of the constraints on a domain
-    (a scheme's Domain), F its _cluster_factor."""
-    F = _cluster_factor(domain, [c.point for c in constraints], [c.order for c in constraints])
-    return float(np.linalg.norm(np.linalg.solve(F, [c.value for c in constraints])))
 
 
 def quotient_norm_p2(domain: PseudoDisk, constraints) -> float:
@@ -186,7 +194,10 @@ def quotient_norm_p2(domain: PseudoDisk, constraints) -> float:
     for c in constraints:
         if psi(domain.center, c.point) > domain.radius:
             raise ValueError(f"constraint point {c.point} outside the domain")
-    return _p2_norm(Domain((domain,)), constraints)
+    ((_, F),) = _cluster_factors(
+        [Domain((domain,))], [[c.point for c in constraints]], [[c.order for c in constraints]]
+    )
+    return float(np.linalg.norm(np.linalg.solve(F[0], [c.value for c in constraints])))
 
 
 def _ball_rules(domain, n_radial, n_angular):
@@ -621,22 +632,28 @@ def quotient_norm_general(
 def target_norm(scheme: InterpolationScheme, targets: JetTargets, p: float) -> float:
     """l^p direct-sum norm (sum_k ||w_k||_{E_k}^p)^(1/p) over the clusters.
 
-    At p = 2 each cluster norm is ||F^-1 w||, F the cluster's
-    _cluster_factor (so a union raises InfeasibleConstraints if any target
-    of the cluster would); at other p it is quotient_norm_general's, with
-    max(UNION_BASIS, m) monomials for m constraints.
+    At p = 2 each cluster norm is ||F_k^-1 w_k||, F_k the cluster's factor
+    from _cluster_factors (so a union raises InfeasibleConstraints if any
+    target of the cluster would), with one stacked solve per group of
+    disk clusters that share an order list; at other p it is
+    quotient_norm_general's, with max(UNION_BASIS, m) monomials for m
+    constraints.
     """
     if len(targets) != len(scheme.clusters):
         raise MalformedJet("targets must be parallel to the scheme's clusters")
+    live = [(dom, cons) for dom, cons in zip(scheme.domains, targets.per_cluster) if cons]
+    if p == 2.0:
+        groups = _cluster_factors([dom for dom, _ in live],
+                                  [[c.point for c in cons] for _, cons in live],
+                                  [[c.order for c in cons] for _, cons in live])
+        total = 0.0
+        for idx, F in groups:
+            W = np.array([[c.value for c in live[i][1]] for i in idx], dtype=complex)
+            total += float((np.abs(np.linalg.solve(F, W[..., None])) ** 2).sum())
+        return total ** 0.5
     total = 0.0
-    for dom, cons in zip(scheme.domains, targets.per_cluster):
-        if not cons:
-            continue
-        if p == 2.0:
-            q = _p2_norm(dom, cons)
-        else:
-            q = quotient_norm_general(dom, cons, p, basis_size=max(UNION_BASIS, len(cons)))
-        total += q ** p
+    for dom, cons in live:
+        total += quotient_norm_general(dom, cons, p, basis_size=max(UNION_BASIS, len(cons))) ** p
     return total ** (1.0 / p)
 
 
@@ -670,23 +687,19 @@ def solve_p2(scheme: InterpolationScheme, targets: JetTargets) -> SolveReport:
 
 
 def _cluster_factor(domain, points, orders):
-    """The m x m lower-triangular F with the cluster's p = 2 quotient norm
-    ||w|| = ||F^-1 w||, after the checks every target of the cluster must
-    pass.
+    """The m x m lower-triangular F with the p = 2 quotient norm
+    ||w|| = ||F^-1 w|| of a cluster on a union of balls, after the checks
+    every target of the cluster must pass (disk clusters are factored in
+    stacks by _cluster_factors).
 
-    On a disk F is the _kernel_factor of its Euclidean image, after its
-    condition gate.  On a union of balls, with C the constraint matrix in
-    quotient_norm_general's orthonormal basis (max(UNION_BASIS, m)
-    monomials, default grid), the norm is that of the minimum-norm solution
-    of C c = w, sqrt(w^H (C C^H)^-1 w); after the feasibility test for
-    every unit target (so C has full row rank), F = R^H from the QR of C^H,
-    so F F^H = C C^H.  C comes from the union's R factor (_union_r), for
-    which only its partly owned rings are QR'd and the rings a ball owns
-    in full enter as closed-form triangles.
+    With C the constraint matrix in quotient_norm_general's orthonormal
+    basis (max(UNION_BASIS, m) monomials, default grid), the norm is that
+    of the minimum-norm solution of C c = w, sqrt(w^H (C C^H)^-1 w); after
+    the feasibility test for every unit target (so C has full row rank),
+    F = R^H from the QR of C^H, so F F^H = C C^H.  C comes from the union's
+    R factor (_union_r), for which only its partly owned rings are QR'd and
+    the rings a ball owns in full enter as closed-form triangles.
     """
-    if domain.is_disk:
-        e = pseudo_to_euclidean(domain.balls[0])
-        return _kernel_factor(points, orders, e.center, e.radius)
     C = _basis_constraints(
         domain, points, orders, max(UNION_BASIS, len(points)), QUAD_GRID, with_span=False
     )[0]
@@ -694,15 +707,63 @@ def _cluster_factor(domain, points, orders):
     return np.linalg.qr(C.conj().T, mode="r").conj().T
 
 
+def _cluster_factors(domains, points, orders):
+    """[(idx, F)]: the clusters' p = 2 factors, ||w_k|| = ||F_k^-1 w_k||,
+    F_k square and lower triangular, in groups: idx the cluster indices of
+    a group and F the stack of their factors, F[i] that of cluster idx[i].
+
+    The disk clusters that share an order list form one group, and F is
+    the _kernel_factor stack of their Euclidean images: one Gram
+    assembly, one condition gate and one Cholesky call per group.  Each
+    union of balls is a group of one (_cluster_factor).  As if the
+    clusters were factored one by one in order, the first that fails
+    raises: a failing disk stack is factored again one cluster at a time
+    to find its first, and only the unions before the first failing disk
+    are factored.
+    """
+    by_orders: dict[tuple, list[int]] = {}
+    for i, dom in enumerate(domains):
+        if dom.is_disk:
+            by_orders.setdefault(tuple(orders[i]), []).append(i)
+    groups, failure = [], None
+    for key, idx in by_orders.items():
+        # scalar images, as pseudo_to_euclidean gives them: numpy's complex
+        # product may round |c|^2 differently, and a stacked factor would
+        # then differ from a one-cluster call in the last bits
+        c, r = zip(*(euclidean_images(domains[i].balls[0].center, domains[i].balls[0].radius)
+                     for i in idx))
+        z = np.array([points[i] for i in idx], dtype=complex)
+        try:
+            groups.append((np.array(idx), _kernel_factor(z, key, c, r)))
+            continue
+        except (SingularGram, np.linalg.LinAlgError) as exc:
+            first = (len(domains), exc)
+        for k, i in enumerate(idx):
+            try:
+                _kernel_factor(z[k], key, c[k], r[k])
+            except (SingularGram, np.linalg.LinAlgError) as exc:
+                first = (i, exc)
+                break
+        if failure is None or first[0] < failure[0]:
+            failure = first
+    stop = len(domains) if failure is None else failure[0]
+    groups += [(np.array([i]), _cluster_factor(domains[i], points[i], orders[i])[None])
+               for i in range(stop) if not domains[i].is_disk]
+    if failure is not None:
+        raise failure[1]
+    return groups
+
+
 def _scheme_forms(scheme: InterpolationScheme):
-    """(members, L, factors): each cluster's member indices, the
-    _kernel_factor L of the scheme's jets in cluster order and each
-    cluster's _cluster_factor."""
+    """(members, L, groups): each cluster's member indices, the
+    _kernel_factor L of the scheme's jets in cluster order and the
+    clusters' factors in _cluster_factors' groups."""
     jets = _cluster_jets(scheme)
     L = _kernel_factor([z for _, pts, _ in jets for z in pts],
                        [o for _, _, ords in jets for o in ords])
-    factors = [_cluster_factor(dom, pts, ords) for dom, (_, pts, ords) in zip(scheme.domains, jets)]
-    return [m for m, _, _ in jets], L, factors
+    groups = _cluster_factors(scheme.domains, [pts for _, pts, _ in jets],
+                              [ords for _, _, ords in jets])
+    return [m for m, _, _ in jets], L, groups
 
 
 def interpolation_constant_probe(
@@ -714,7 +775,8 @@ def interpolation_constant_probe(
     A lower bound of `interpolation_constant_p2`, kept as a cross-check of
     it, from the same factors: the global norm of a target v is
     ||L^-1 v||, a cluster's norm of its part v_k is ||F_k^-1 v_k||.  All
-    draws are solved as the columns of one right-hand side."""
+    draws are solved as the columns of one right-hand side, and the
+    clusters' parts as one stacked solve per group of _cluster_factors."""
     rng = np.random.default_rng(seed)
     n = len(scheme.sequence)
     V = np.empty((n, trials), dtype=complex)
@@ -723,10 +785,10 @@ def interpolation_constant_probe(
         V[:, t] = v / np.linalg.norm(v)
     if not trials:
         return 0.0
-    members, L, factors = _scheme_forms(scheme)
+    members, L, groups = _scheme_forms(scheme)
     norms = np.linalg.norm(np.linalg.solve(L, V[[i for m in members for i in m]]), axis=0)
-    target = np.sqrt(sum(np.linalg.norm(np.linalg.solve(F, V[m]), axis=0) ** 2
-                         for F, m in zip(factors, members)))
+    target = np.sqrt(sum((np.abs(np.linalg.solve(F, V[[members[i] for i in idx]])) ** 2)
+                         .sum(axis=(0, 1)) for idx, F in groups))
     ok = target > 0.0
     return float((norms[ok] / target[ok]).max(initial=0.0))
 
@@ -738,7 +800,7 @@ def interpolation_constant_p2(scheme: InterpolationScheme) -> float:
 
     G = L L^H is the kernel Gram matrix of the scheme's jets and B the block
     diagonal of the clusters' p = 2 quotient forms B_k = (F_k F_k^H)^-1,
-    F_k the square factor of _cluster_factor: the inverse kernel Gram
+    F_k the square factor from _cluster_factors: the inverse kernel Gram
     matrix of a disk domain, and on a union of balls (C C^H)^-1 for its
     constraint matrix C in quotient_norm_general's orthonormal basis, so
     union blocks are exact only up to that quadrature and polynomial
@@ -748,12 +810,12 @@ def interpolation_constant_p2(scheme: InterpolationScheme) -> float:
     formed.  Raises SingularGram and InfeasibleConstraints where the probe
     would.
     """
-    _, L, factors = _scheme_forms(scheme)
+    members, L, groups = _scheme_forms(scheme)
+    start = np.cumsum([0] + [len(m) for m in members])
     F = np.zeros_like(L)
-    lo = 0
-    for f in factors:
-        F[lo:lo + len(f), lo:lo + len(f)] = f
-        lo += len(f)
+    for idx, Fk in groups:
+        rows = start[idx, None] + np.arange(Fk.shape[-1])
+        F[rows[:, :, None], rows[:, None, :]] = Fk
     return float(np.linalg.norm(np.linalg.solve(L, F), 2))
 
 

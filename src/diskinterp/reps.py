@@ -15,8 +15,27 @@ import numpy as np
 
 from .geometry import moebius, moebius_many
 
-# Matrix entries per block in KernelRep.derivative.
-KERNEL_BLOCK = 1 << 15
+# Matrix entries per block in KernelRep.derivative: a block of 2^13 complex
+# entries is 128 KiB.  On a 2-core Xeon (4 MiB L2) order 0 on 4,608 points
+# x 86 terms took about 3 ms at 2^13 against 6-8 ms at 2^15.
+KERNEL_BLOCK = 1 << 13
+
+
+def _kernel_powers(base, m: int, n: int):
+    """Yield (j, c_j, base^-(2 + n + m - j)) for j = min(m, n), ..., 0, the
+    terms of d_z^m d_wbar^n base^-2 = sum_j c_j base^-(2+n+m-j) u^(n-j)
+    vbar^(m-j), base = s^2 - u vbar, with the integer coefficients
+    c_j = C(m, j) n!/(n - j)! (n + 1 + m - j)!.  The powers are products
+    of q = 1/base, one more factor per term: on a 380 x 86 block numpy's
+    complex base ** -2 takes about four times as long as np.reciprocal."""
+    q = np.reciprocal(base)
+    power = q * q
+    for _ in range(max(m, n)):
+        power = power * q
+    for j in range(min(m, n), -1, -1):
+        yield j, comb(m, j) * factorial(n) // factorial(n - j) * factorial(n + 1 + m - j), power
+        if j:
+            power = power * q
 
 
 def bergman_kernel_deriv(z, w, m: int, n: int, center: complex = 0.0, s: float = 1.0):
@@ -26,22 +45,15 @@ def bergman_kernel_deriv(z, w, m: int, n: int, center: complex = 0.0, s: float =
         K(z, w) = s^2 / (pi * (s^2 - (z-c)(conj(w)-conj(c)))^2).
 
     The default (s=1, c=0) is the kernel of the unit disk.  Broadcasts over
-    z and w, so z[:, None] and w[None, :] give the matrix of values.
+    z, w, center and s, so z[:, None] and w[None, :] give the matrix of
+    values.  The powers of 1/(s^2 - (z-c)(conj(w)-conj(c))) are repeated
+    products of one reciprocal (_kernel_powers), not complex powers.
     """
     u = np.asarray(z, dtype=complex) - center
     vbar = np.conj(np.asarray(w, dtype=complex) - center)
-    base = s * s - u * vbar
     out = 0.0
-    for j in range(min(m, n) + 1):
-        coeff = (
-            comb(m, j)
-            * factorial(n)
-            // factorial(n - j)
-            * factorial(n + 1 + m - j)
-        )
-        term = base ** -(2 + n + m - j)
-        if coeff != 1:
-            term = coeff * term
+    for j, coeff, power in _kernel_powers(s * s - u * vbar, m, n):
+        term = power if coeff == 1 else coeff * power
         if n > j:
             term = term * u ** (n - j)
         if m > j:
@@ -91,9 +103,12 @@ class KernelRep(AnalyticFunctionRep):
         return self.derivative(z, 0)
 
     def derivative(self, z, order: int):
-        """Sum of the terms at the points z, as a (points x terms) matrix of
-        kernel derivatives times the coefficients, one product per term
-        order and per block of at most KERNEL_BLOCK matrix entries."""
+        """Sum of the terms at the points z, one product per term order and
+        per block of at most KERNEL_BLOCK matrix entries.  Only the powers
+        of 1/(s^2 - (z-c)(conj(w)-conj(c))) (_kernel_powers) are formed as
+        points x terms matrices: s^2/pi, the integer coefficients and the
+        powers of conj(w - c) scale the coefficient vector, and the powers
+        of z - c the product."""
         z = np.asarray(z, dtype=complex)
         flat = z.reshape(-1)
         out = np.zeros(flat.shape, dtype=complex)
@@ -102,13 +117,15 @@ class KernelRep(AnalyticFunctionRep):
             orders = np.array([n for _, n, _ in self.terms])
             coeffs = np.array([c for _, _, c in self.terms], dtype=complex)
             rows = max(1, KERNEL_BLOCK // len(self.terms))
-            for n in np.unique(orders):
-                w, c = points[orders == n], coeffs[orders == n]
+            s2 = self.scale * self.scale
+            for n in np.unique(orders).tolist():
+                vbar = np.conj(points[orders == n] - self.center)
+                c = s2 / np.pi * coeffs[orders == n]
                 for lo in range(0, len(flat), rows):
-                    out[lo:lo + rows] += bergman_kernel_deriv(
-                        flat[lo:lo + rows, None], w[None, :], order, int(n),
-                        center=self.center, s=self.scale,
-                    ) @ c
+                    u = flat[lo:lo + rows] - self.center
+                    for j, coeff, power in _kernel_powers(s2 - u[:, None] * vbar, order, n):
+                        part = power @ (coeff * vbar ** (order - j) * c)
+                        out[lo:lo + rows] += part if n == j else u ** (n - j) * part
         return out.reshape(z.shape)[()]
 
     def to_dict(self) -> dict:

@@ -1,6 +1,7 @@
 import functools
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -45,7 +46,12 @@ from diskinterp.interpolation import (
     weighted_norms,
 )
 from diskinterp.reps import BlaschkeLagrangeRep, bergman_kernel_deriv
-from diskinterp.schemes import Domain, PointSequence, build_minimal_scheme
+from diskinterp.schemes import (
+    Domain,
+    PointSequence,
+    build_maximal_scheme,
+    build_minimal_scheme,
+)
 
 
 def poly_quotient_oracle(domain, constraints, degree=24):
@@ -557,6 +563,111 @@ def test_gram_matches_scalar_kernel_loop():
         got = interpolation._gram(pts, orders, center, s)
         want = _scalar_gram(pts, orders, center, s)
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+    # a stack of three point sets, each with its own disk, the same orders
+    stack = [pts, list(0.8 * np.array(pts)), list(1j * np.array(pts))]
+    centers, radii = [0.0, 0.2 - 0.1j, -0.05j], [1.0, 0.55, 0.7]
+    got = interpolation._gram(stack, orders, centers, radii)
+    assert got.shape == (3, 9, 9)
+    for k in range(3):
+        np.testing.assert_array_equal(got[k], interpolation._gram(stack[k], orders, centers[k],
+                                                                  radii[k]))
+        np.testing.assert_allclose(got[k], _scalar_gram(stack[k], orders, centers[k], radii[k]),
+                                   rtol=1e-13, atol=0)
+
+
+def _factors_one_by_one(scheme):
+    """Each cluster's p = 2 factor, in cluster order: one np.linalg.cholesky
+    of a disk cluster's _gram after the condition gate, _cluster_factor on
+    a union; the first failing cluster raises."""
+    out = []
+    for dom, (_, p, o) in zip(scheme.domains, interpolation._cluster_jets(scheme)):
+        if not dom.is_disk:
+            out.append(interpolation._cluster_factor(dom, p, o))
+            continue
+        e = pseudo_to_euclidean(dom.balls[0])
+        G = interpolation._gram(p, o, e.center, e.radius)
+        cond = np.linalg.cond(G)
+        if not np.isfinite(cond) or cond > interpolation.GRAM_CONDITION_LIMIT:
+            raise SingularGram(f"Gram condition number {cond:.3e} exceeds "
+                               f"{interpolation.GRAM_CONDITION_LIMIT:.0e}")
+        out.append(np.linalg.cholesky(G))
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(st.tuples(st.floats(0.0, 0.85), st.floats(0.0, 2.0 * np.pi),
+                       st.sampled_from(["point", "jet", "pair"])), min_size=1, max_size=6),
+    st.booleans(),
+    st.integers(0, 2**16),
+)
+def test_cluster_factors_match_a_per_cluster_loop(sites, maximal, seed):
+    # singletons, points repeated into jets of order 0..2 and pairs at psi
+    # 0.3, which are two-ball unions at eps = 0.18 in the minimal scheme and
+    # two-point disks in the maximal one: the stacked factors equal the
+    # one-by-one loop bit for bit, or both raise the same error
+    z = []
+    for r, t, kind in sites:
+        a = r * np.exp(1j * t)
+        z += {"point": [a], "jet": [a, a, a], "pair": [a, moebius(a, 0.3 * np.exp(2.0j))]}[kind]
+    try:
+        scheme = (build_maximal_scheme if maximal else build_minimal_scheme)(PointSequence(z), 0.18)
+    except DiameterOverflow:
+        return
+    jets = interpolation._cluster_jets(scheme)
+    try:
+        want = _factors_one_by_one(scheme)
+    except (SingularGram, InfeasibleConstraints) as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            interpolation._cluster_factors(scheme.domains, [p for _, p, _ in jets],
+                                           [o for _, _, o in jets])
+        return
+    got = {}
+    for idx, F in interpolation._cluster_factors(scheme.domains, [p for _, p, _ in jets],
+                                                 [o for _, _, o in jets]):
+        assert F.shape[0] == len(idx)
+        got.update(zip(idx.tolist(), F))
+    assert sorted(got) == list(range(len(want)))
+    for i, F in enumerate(want):
+        np.testing.assert_array_equal(got[i], F)
+    rng = np.random.default_rng(seed)
+    n = len(scheme.sequence)
+    t = JetTargets.values_on_scheme(scheme, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    loop = math.sqrt(sum(np.linalg.norm(np.linalg.solve(F, [c.value for c in cons])) ** 2
+                         for F, cons in zip(want, t.per_cluster)))
+    assert target_norm(scheme, t, 2.0) == pytest.approx(loop, rel=1e-14, abs=0.0)
+
+
+def test_first_singular_disk_cluster_raises():
+    # maximal-scheme disks around points 1e-8 and 2e-8 apart: the Gram
+    # matrices of two of three clusters fail the gate.  The error names the
+    # first failing cluster's condition number, within a stack of equal
+    # order lists and across stacks of different ones
+    def cond_of(scheme, k):
+        e = pseudo_to_euclidean(scheme.domains[k].balls[0])
+        p = [complex(scheme.sequence[i]) for i in scheme.clusters[k].members]
+        return np.linalg.cond(interpolation._gram(p, interpolation._repeat_orders(p),
+                                                  e.center, e.radius))
+
+    def stack(scheme):
+        e = [pseudo_to_euclidean(d.balls[0]) for d in scheme.domains]
+        return ([[complex(scheme.sequence[i]) for i in c.members] for c in scheme.clusters],
+                [0, 0], [d.center for d in e], [d.radius for d in e])
+
+    good, a, b, c = 0.5, -0.5j, -0.4, 0.3 + 0.4j
+    for pts, one_stack in (([good, good + 0.05, a, a + 1e-8, b, b + 2e-8], True),
+                           ([good, good + 0.05, c, c, c + 2e-8, b, b + 1e-8], False)):
+        scheme = build_maximal_scheme(PointSequence(pts), 0.05)
+        assert all(d.is_disk for d in scheme.domains) and len(scheme.clusters) == 3
+        cond = cond_of(scheme, 1)
+        assert min(cond, cond_of(scheme, 2)) > interpolation.GRAM_CONDITION_LIMIT
+        assert f"{cond_of(scheme, 2):.3e}" != f"{cond:.3e}"
+        t = JetTargets.values_on_scheme(scheme, np.ones(len(pts)))
+        with pytest.raises(SingularGram, match=re.escape(f"{cond:.3e}")):
+            target_norm(scheme, t, 2.0)
+        if one_stack:  # the three (0, 0) clusters straight to the gate
+            with pytest.raises(SingularGram, match=re.escape(f"{cond:.3e}")):
+                interpolation._kernel_factor(*stack(scheme))
 
 
 def _jet_union_scheme():

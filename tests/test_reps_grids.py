@@ -46,6 +46,72 @@ def test_bergman_kernel_derivatives_match_finite_differences():
     assert a == pytest.approx(np.conj(b), rel=1e-12)
 
 
+def _exact_kernel_taylor(z, w, m, n, center, s):
+    """(d_z^m d_wbar^n K(z, w) pi, a bound on its terms) from the Taylor
+    coefficients of 1/B in exact complex rationals, B = s^2 - (u + h)(vb + g),
+    u = z - c and vb = conj(w - c): R_ij = (vb R_(i-1)j + u R_i(j-1)
+    + R_(i-1)(j-1)) / B(0, 0) for i, j > 0, and the derivative is
+    m! n! s^2 times the coefficient of h^m g^n in R^2.  The bound runs the
+    same recursion on |vb|, |u| and |B(0, 0)|."""
+    def cx(a):
+        a = complex(a)
+        return Fraction(a.real), Fraction(a.imag)
+
+    def mul(a, b):
+        return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+    (zr, zi), (wr, wi), (cr, ci) = cx(z), cx(w), cx(center)
+    u, vb = (zr - cr, zi - ci), (wr - cr, ci - wi)
+    s2 = Fraction(s) ** 2
+    uv = mul(u, vb)
+    b0 = (s2 - uv[0], -uv[1])
+    inv = (b0[0] / (b0[0] ** 2 + b0[1] ** 2), -b0[1] / (b0[0] ** 2 + b0[1] ** 2))
+    au, av, ab = (float(abs(complex(*map(float, x)))) for x in (u, vb, b0))
+    R, A = {}, {}
+    for i in range(m + 1):
+        for j in range(n + 1):
+            acc, bound = ((Fraction(1), Fraction(0)), 1.0) if i == j == 0 else ((0, 0), 0.0)
+            for (di, dj, f, af) in ((1, 0, vb, av), (0, 1, u, au), (1, 1, (1, 0), 1.0)):
+                if i >= di and j >= dj:
+                    t = mul(f, R[i - di, j - dj])
+                    acc = (acc[0] + t[0], acc[1] + t[1])
+                    bound += af * A[i - di, j - dj]
+            R[i, j], A[i, j] = mul(acc, inv), bound / ab
+    sq = [mul(R[i, j], R[m - i, n - j]) for i in range(m + 1) for j in range(n + 1)]
+    f = math.factorial(m) * math.factorial(n) * s2
+    exact = complex(float(sum(t[0] for t in sq) * f), float(sum(t[1] for t in sq) * f))
+    bound = sum(A[i, j] * A[m - i, n - j] for i in range(m + 1) for j in range(n + 1)) * float(f)
+    return exact, bound
+
+
+def test_bergman_kernel_deriv_matches_exact_rationals():
+    # every m, n <= 3 on the unit disk and a local disk, at points out to
+    # 0.999 s from the centre, z = w among them.  Dyadic inputs make u and
+    # vb exact, so the error is the rounding of s^2 - u vb, which a
+    # condition number kappa = (s^2 + |u| |vb|) / |s^2 - u vb| magnifies
+    # (about 1000 at z = w, |z| = 0.999 s), and of the products after it:
+    # within 2 (2 + m + n) eps kappa of the terms' bound.  Without
+    # cancellation the bound is |K| and it is relative.
+    rng = np.random.default_rng(7)
+    eps = np.finfo(float).eps
+    for center, s in ((0.0, 1.0), (0.25 - 0.125j, 0.5)):
+        for rz in (0.0, 0.3, 0.9, 0.99, 0.999):
+            for rw in (rz, 0.5, 0.999):
+                for same in (True, False) if rw == rz else (False,):
+                    z = center + s * rz * np.exp(2j * np.pi * rng.uniform())
+                    w = z if same else center + s * rw * np.exp(2j * np.pi * rng.uniform())
+                    z, w = (complex(round(x.real * 2 ** 30), round(x.imag * 2 ** 30)) / 2 ** 30
+                            for x in (z, w))
+                    u, vb = z - center, np.conj(w - center)
+                    kappa = (s * s + abs(u) * abs(vb)) / abs(s * s - u * vb)
+                    for m in range(4):
+                        for n in range(4):
+                            got = complex(bergman_kernel_deriv(z, w, m, n, center, s)) * math.pi
+                            exact, bound = _exact_kernel_taylor(z, w, m, n, center, s)
+                            assert abs(got - exact) <= 2 * (2 + m + n) * eps * kappa * bound, (
+                                z, w, m, n)
+
+
 def test_complex_derivative_of_polynomial():
     fun = lambda z: z ** 4 - 2.0 * z
     z = np.array(0.3 + 0.2j)
@@ -200,6 +266,17 @@ def test_gauss_laguerre_matches_scipy_and_gamma_moments(n, alpha):
     for k in range(min(2 * n, 16)):
         want = math.factorial(k + int(alpha))
         assert (w * y ** k).sum() == pytest.approx(want, rel=1e-13, abs=0.0), k
+
+
+@pytest.mark.parametrize("rule", [gauss_jacobi, gauss_laguerre])
+@pytest.mark.parametrize("alpha", [math.inf, -1.0, -2.0, -1.5, math.nan, -math.inf])
+def test_gauss_rules_reject_alpha_outside_minus_one_to_inf(rule, alpha):
+    # inf and -1 warned of a division, -2 divided by zero, -1.5 and nan
+    # failed in eigh; a call that raises is not cached
+    before = rule.cache_info().currsize
+    with pytest.raises(ValueError, match="alpha must be finite and > -1"):
+        rule(8, alpha)
+    assert rule.cache_info().currsize == before
 
 
 def _grid_function():
