@@ -11,6 +11,7 @@ interpolation machinery with its Blaschke product bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, perm
 
 import numpy as np
@@ -209,7 +210,9 @@ def _ball_rules(domain, n_radial, n_angular):
     A node is owned by the lowest-index ball containing it, so overlaps
     count once.  A ball's nodes lie strictly inside it (the largest
     Gauss-Legendre radius is below the ball's), so only the earlier balls
-    that meet it, found by `schemes._touching_pairs`, are tested.
+    that meet it, found by `schemes._touching_pairs`, are tested, and of
+    its rings only those that come within an earlier ball's Euclidean
+    radius of its centre.
     """
     balls = [domain] if isinstance(domain, PseudoDisk) else list(domain.balls)
     # earlier[k]: the balls before ball k that meet it
@@ -226,7 +229,11 @@ def _ball_rules(domain, n_radial, n_angular):
         nodes = e.center + r[:, None] * np.exp(1j * ang[None, :])
         own = np.ones(nodes.shape, dtype=bool)
         for b2 in before:
-            own &= psi_array(nodes, b2.center) >= b2.radius
+            e2 = pseudo_to_euclidean(b2)
+            # a ring whose nearest point to e2's centre lies beyond e2's
+            # radius by more than rounding has no node in e2
+            near = np.abs(abs(e.center - e2.center) - r) <= e2.radius * (1.0 + 1e-9)
+            own[near] &= psi_array(nodes[near], b2.center) >= b2.radius
         rules.append((e, r, w, nodes, own))
     return rules
 
@@ -374,27 +381,22 @@ def _holder_bracket(u, b, M, weights, p, delta):
     return _lp_norm(u, weights, p), lower
 
 
-def _tsqr_r(A, overwrite_q=False):
+def _tsqr_r(A):
     """R of a QR factorisation A = Q R of the matrix A (R's rows up to unit
-    factors; min(rows, columns) of them): Householder QR of row blocks of
-    QR_BLOCK, then of their stacked R factors, so it is as backward stable
-    as one QR of A.  With overwrite_q, A is overwritten by Q, each block's
+    factors; min(rows, columns) of them), with A overwritten by Q:
+    Householder QR of row blocks of QR_BLOCK, then of their stacked R
+    factors, so it is as backward stable as one QR of A.  Q is each block's
     Q times its rows of the second QR's Q, and no other array of A's size
-    is formed.  It factors a union's whole basis values at p != 2, and at
-    p = 2 only those at the nodes of its partly owned rings (_union_r)."""
+    is formed.  It factors a union's basis values at p != 2; at p = 2 the
+    union's R comes from closed-form ring and arc triangles (_union_r)."""
     blocks = range(0, len(A), QR_BLOCK)
     Rs = []
     for lo in blocks:
-        if overwrite_q:
-            Qb, Rb = np.linalg.qr(A[lo:lo + QR_BLOCK])
-            A[lo:lo + QR_BLOCK, :Qb.shape[1]] = Qb
-        else:
-            Rb = np.linalg.qr(A[lo:lo + QR_BLOCK], mode="r")
+        Qb, Rb = np.linalg.qr(A[lo:lo + QR_BLOCK])
+        A[lo:lo + QR_BLOCK, :Qb.shape[1]] = Qb
         Rs.append(Rb)
     if len(Rs) == 1:
         return Rs[0]
-    if not overwrite_q:
-        return np.linalg.qr(np.vstack(Rs), mode="r")
     Q2, R = np.linalg.qr(np.vstack(Rs))
     row = 0
     for lo, Rb in zip(blocks, Rs):
@@ -428,42 +430,135 @@ def _weighted_monomials(x, weights, basis_size):
     return A
 
 
+def _arcs(own):
+    """(row, start, length): the circular runs of True in the rows of the
+    boolean node mask `own` that are partly True, one entry per run, a run
+    being `length` nodes from index `start` on, modulo the row length (so a
+    run wraps past index 0 when start + length exceeds it).
+
+    A run starts at a True after a False and stops at a False after a
+    True; counted from its row's first False, where no run wraps, the
+    k-th start and the k-th stop of a row bound one run."""
+    rows = np.flatnonzero(own.any(axis=1) & ~own.all(axis=1))
+    part = own[rows]
+    n = own.shape[1]
+    before = np.roll(part, 1, axis=1)
+    i, start = np.nonzero(part & ~before)
+    j, stop = np.nonzero(before & ~part)
+    first = part.argmin(axis=1)
+    a = (start - first[i]) % n
+    b = (stop - first[j] - 1) % n + 1
+    start_order, stop_order = np.argsort(i * n + a), np.argsort(j * n + b)
+    return rows[i[start_order]], start[start_order], b[stop_order] - a[start_order]
+
+
+def _ring_phases(n_t, rows, cols):
+    """e^(2 pi i j l / n_t) for j in rows and l in cols: the n_t-th roots of
+    unity, indexed by j l reduced modulo n_t in integers."""
+    return np.exp(2j * np.pi * np.arange(n_t) / n_t)[np.multiply.outer(rows, cols) % n_t]
+
+
+@lru_cache(maxsize=8)
+def _arc_anchors(n_t, b):
+    """(A_1, A_2, ...): A_k = R(E_kb) for kb < n_t, read-only, E_L the L x b
+    matrix _ring_phases(n_t, range(L), range(b)).  A_k is the R of A_(k-1)
+    stacked over rows (k-1)b to kb - 1 of E, A_0 having no rows.  An entry
+    is fewer than n_t / b matrices of b^2 complex numbers: n_t b 16 bytes,
+    128 KiB at (n_t, b) = (256, 32)."""
+    anchors = []
+    A = np.empty((0, b), dtype=complex)
+    for lo in range(0, n_t - b, b):
+        A = np.linalg.qr(np.vstack([A, _ring_phases(n_t, np.arange(lo, lo + b), np.arange(b))]),
+                         mode="r")
+        A.flags.writeable = False
+        anchors.append(A)
+    return tuple(anchors)
+
+
+@lru_cache(maxsize=128)
+def _arc_r(n_t, b, L):
+    """R(E_L), read-only: an upper-trapezoidal min(L, b) x b matrix with
+    R^H R = E_L^H E_L, E_L[j, l] = e^(2 pi i j l / n_t) for j < L and l < b
+    (_ring_phases): the monomials up to degree b - 1 at L consecutive
+    nodes of a ring of n_t equally spaced angles, in the angle's phase.
+
+    The QR of the anchor A_(L // b) (_arc_anchors) stacked over the fewer
+    than b rows of E_L after it, so the result depends on (n_t, b, L)
+    alone, whatever was asked before.  The cache holds at most 128 entries
+    of at most b^2 complex numbers: 128 b^2 16 bytes, 2 MiB at b = 32."""
+    k = L // b
+    head = _arc_anchors(n_t, b)[k - 1] if k else np.empty((0, b), dtype=complex)
+    if L == k * b:
+        return head
+    R = np.linalg.qr(np.vstack([head, _ring_phases(n_t, np.arange(k * b, L), np.arange(b))]),
+                     mode="r")
+    R.flags.writeable = False
+    return R
+
+
+@lru_cache(maxsize=8)
+def _binomials(b):
+    """C(k, l) at [l, k] for k, l < b (0 for l > k), read-only."""
+    B = np.array([[comb(k, l) for k in range(b)] for l in range(b)], dtype=float)
+    B.flags.writeable = False
+    return B
+
+
+def _owned_reach(rules, center):
+    """The largest |z - center| over the owned nodes of _ball_rules' rules.
+    A ring of radius r about c has its nodes within |c - center| + r of
+    center, so each ball's rings are read outermost first, until that
+    bound, with room for rounding, falls below the largest found."""
+    s = 0.0
+    for e, r, _, z, own in rules:
+        bound = (abs(e.center - center) + r) * (1.0 + 1e-12)
+        for j in reversed(range(len(r))):
+            if bound[j] < s:
+                break
+            s = max(s, float(np.abs(z[j, own[j]] - center).max(initial=0.0)))
+    return s
+
+
 def _union_r(domain, center, basis_size, grid):
     """(R, s, rows): an upper-triangular R with R^H R = A^H A for the
     weighted scaled monomials A = sqrt(w) ((z - center)/s)^k at the `rows`
     nodes a union of balls owns (_ball_rules), s the largest |z - center|
-    among them, without forming A.
+    among them, without forming A or any row of it.
 
     On a ring of radius r about ball j's Euclidean centre c_j,
-    ((z - center)/s)^k = sum_{l <= k} C(k, l) a^(k - l) (r/s)^l e^(il theta),
-    a = (c_j - center)/s, and the e^(il theta) for l < n_t are orthogonal
-    over the ring's n_t angles.  So the rows of the rings the ball owns in
-    full have the exact triangle diag(nu) P, nu from _ring_norms over those
-    rings and P[l, k] = C(k, l) a^(k - l).  Only the owned nodes of rings
-    owned in part are formed, and reduced by _tsqr_r; R is the R of their
-    factor stacked over the triangles.  The triangles go last: rows of very
-    different size at the top of an unpivoted Householder QR cost it about
-    a digit.
+    ((z - center)/s)^k = sum_{l <= k} C(k, l) a^(k - l) y^l,
+    y = (r/s) e^(i theta) and a = (c_j - center)/s, so A's rows on ball j
+    are its rows V in the ball's own monomials y^l times
+    P[l, k] = C(k, l) a^(k - l).  The e^(il theta) for l < n_t are
+    orthogonal over a ring's n_t angles, so the rings the ball owns in
+    full have the exact triangle diag(nu) of V, nu from _ring_norms over
+    those rings.  A ring it owns in part, it owns as arcs (_arcs); an arc
+    of L nodes from angle index i0 has V = E_L diag(e^(2 pi i i0 l / n_t)
+    sqrt(w) (r/s)^l), so its triangle is _arc_r's cached R(E_L) times that
+    diagonal.  The QR of the ball's arc triangles stacked over diag(nu),
+    about b rows per arc, gives the ball's R_j with R_j^H R_j = V^H V, and
+    R is the R of the balls' R_j P stacked: b rows per ball.  (A ball with
+    no full ring has nu = 0, and one that owns no node R_j = 0.)
     """
     rules = _ball_rules(domain, *grid)
-    s = max(float(np.abs(z[own] - center).max(initial=0.0)) for _, _, _, z, own in rules)
+    s = _owned_reach(rules, center)
+    n_t = grid[1]
     k = np.arange(basis_size)
-    binom = np.array([[comb(kk, ll) for kk in k] for ll in k], dtype=float)
-    part_x, part_w, triangles = [], [], []
-    for e, r, w, nodes, own in rules:
+    blocks = []
+    for e, r, w, _, own in rules:
+        row, start, length = _arcs(own)
+        tri = [_arc_r(n_t, basis_size, L) for L in length.tolist()]
         full = own.all(axis=1)
-        part = own & ~full[:, None]
-        part_x.append((nodes[part] - center) / s)
-        part_w.append(np.broadcast_to(w[:, None], own.shape)[part])
-        if full.any():
-            nu = _ring_norms(r[full], w[full], s, grid[1], basis_size)
-            a = (e.center - center) / s
-            triangles.append(nu[:, None] * binom * a ** np.maximum(k - k[:, None], 0))
-    x = np.concatenate(part_x)
-    if len(x):
-        triangles.insert(0, _tsqr_r(_weighted_monomials(x, np.concatenate(part_w), basis_size)))
-    rows = sum(int(own.sum()) for *_, own in rules)
-    return np.linalg.qr(np.vstack(triangles), mode="r"), s, rows
+        V = np.vstack(tri + [np.diag(_ring_norms(r[full], w[full], s, n_t, basis_size))],
+                      dtype=complex)
+        V[:len(V) - basis_size] *= np.repeat(
+            np.sqrt(w[row])[:, None] * (r[row] / s)[:, None] ** k * _ring_phases(n_t, start, k),
+            [len(t) for t in tri], axis=0)
+        a = (e.center - center) / s
+        blocks.append(np.linalg.qr(V, mode="r")
+                      @ (_binomials(basis_size) * (a ** k)[np.maximum(k - k[:, None], 0)]))
+    rows = sum(np.count_nonzero(own) for *_, own in rules)
+    return np.linalg.qr(np.vstack(blocks), mode="r"), s, rows
 
 
 def _disk_constraints(e, points, orders, basis_size, grid, with_span):
@@ -496,10 +591,11 @@ def _basis_constraints(domain, points, orders, basis_size, grid, with_span):
     `weights`; both are None unless `with_span`.  A disk has the closed
     form of _disk_constraints.  On a union of balls the weighted scaled
     monomials at the owned nodes factor as Q R, and R's SVD gives Phi.
-    Without `with_span` only R is needed: _union_r QRs the partly owned
-    rings alone, and the rings a ball owns in full enter as closed-form
-    triangles.  With it the blocked QR writes Q over the monomials at
-    every owned node, and Q @ Ur is Phi times sqrt(weights) there.
+    Without `with_span` only R is needed, and _union_r forms it from
+    closed-form triangles of the rings a ball owns in full and cached arc
+    triangles of those it owns in part, with no node's values.  With it
+    the blocked QR (_tsqr_r) writes Q over the monomials at every owned
+    node, and Q @ Ur is Phi times sqrt(weights) there.
     """
     balls = [domain] if isinstance(domain, PseudoDisk) else list(domain.balls)
     if len(balls) == 1:
@@ -513,7 +609,7 @@ def _basis_constraints(domain, points, orders, basis_size, grid, with_span):
         s = float(np.abs(U).max())
         rows = len(U)
         Q = _weighted_monomials(U / s, weights, basis_size)
-        R = _tsqr_r(Q, overwrite_q=True)
+        R = _tsqr_r(Q)
     else:
         # R alone carries the singular values and right singular vectors
         R, s, rows = _union_r(domain, center, basis_size, grid)
@@ -553,17 +649,19 @@ def quotient_norm_general(
     Euclidean centres and s the largest |node - c| over nodes with weight,
     made orthonormal in the quadrature inner product to rounding: on a disk
     by dividing each monomial by its quadrature norm (the monomials are
-    orthogonal there), on a union of balls by a Householder QR of the
-    weighted basis values.  Directions whose singular value is below
+    orthogonal there), on a union of balls by the R factor of the weighted
+    basis values.  Directions whose singular value is below
     eps * (node count) of the largest, which float64 cannot resolve, are
     dropped, as numpy's lstsq drops them.  In that basis the p = 2
     minimiser is closed form, and at p = 2 its norm is returned; on a
-    union that needs R alone, and only the nodes of its partly owned rings
-    are QR'd, the rings a ball owns in full entering as closed-form
-    triangles (_union_r).  Otherwise damped Newton runs from it on the
-    real and imaginary parts of the null-space coordinates (on the
-    smoothed (|g|^2 + d^2)^(p/2), d shrinking towards 0, when p < 2) and
-    the value is returned once the relative gap between
+    union that needs R alone, which comes from closed-form triangles of
+    the rings a ball owns in full and cached triangles of the arcs of
+    those it owns in part, with no QR over nodes (_union_r).  Otherwise
+    a blocked Householder QR (_tsqr_r) gives R and the basis at the
+    nodes, and damped Newton runs from the minimiser on the real and
+    imaginary parts of the null-space coordinates (on the smoothed
+    (|g|^2 + d^2)^(p/2), d shrinking towards 0, when p < 2); the value
+    is returned once the relative gap between
     the objective and a Hölder lower bound is at most GAP_TOL: it is then
     certified to GAP_TOL for the discretised problem.  On a disk every
     product with the null-space basis is one FFT per ring of nodes
@@ -697,8 +795,8 @@ def _cluster_factor(domain, points, orders):
     of the minimum-norm solution of C c = w, sqrt(w^H (C C^H)^-1 w); after
     the feasibility test for every unit target (so C has full row rank),
     F = R^H from the QR of C^H, so F F^H = C C^H.  C comes from the union's
-    R factor (_union_r), for which only its partly owned rings are QR'd and
-    the rings a ball owns in full enter as closed-form triangles.
+    R factor (_union_r): closed-form triangles of the rings a ball owns in
+    full and cached arc triangles of the rings it owns in part.
     """
     C = _basis_constraints(
         domain, points, orders, max(UNION_BASIS, len(points)), QUAD_GRID, with_span=False

@@ -385,6 +385,29 @@ def test_domain_quadrature_matches_all_pairs_ownership():
         assert (weights == 0.0).any()
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 8), st.floats(0.0, 0.99), st.floats(0.0, 6.3), st.floats(0.02, 0.6),
+       st.integers(0, 2**32 - 1))
+def test_ownership_and_reach_match_every_node(n, base_abs, base_arg, radius, seed):
+    # random overlapping unions, out to 0.99: only the rings near an
+    # earlier ball are tested for ownership, and only the outer rings are
+    # read for the reach s; both must agree bit for bit with every node
+    rng = np.random.default_rng(seed)
+    base = base_abs * np.exp(1j * base_arg)
+    offsets = 1.5 * radius * rng.uniform(size=n) * np.exp(6.3j * rng.uniform(size=n))
+    domain = Domain(tuple(PseudoDisk(complex(moebius(base, z)), radius * rng.uniform(0.5, 1.0))
+                          for z in offsets))
+    center = np.mean([pseudo_to_euclidean(b).center for b in domain.balls])
+    for grid in ((12, 32), (24, 96)):
+        nodes, weights = domain_quadrature(domain, *grid)
+        want_nodes, want_weights = _all_pairs_quadrature(domain, *grid)
+        assert np.array_equal(nodes, want_nodes)
+        assert np.array_equal(weights, want_weights)
+        rules = interpolation._ball_rules(domain, *grid)
+        assert (interpolation._owned_reach(rules, center)
+                == np.abs(nodes[weights > 0.0] - center).max())
+
+
 def _disk_jets(center, radius):
     return [JetConstraint(moebius(center, -0.2 * radius), 0, 1.0),
             JetConstraint(moebius(center, -0.2 * radius), 1, 0.5j),
@@ -703,12 +726,19 @@ def _union_of(scheme):
 
 @pytest.mark.parametrize("grid", [(24, 96), interpolation.QUAD_GRID])
 def test_union_factor_matches_the_owned_rows(grid):
-    # R from _tsqr_r of the partly owned rings and closed-form triangles of
-    # the fully owned ones, against the weighted monomials formed at every
-    # node domain_quadrature gives weight; the disk listed twice is a union
-    # whose second ball owns no node
+    # R from the cached arc triangles of the partly owned rings and the
+    # closed-form triangles of the fully owned ones, against the weighted
+    # monomials formed at every node domain_quadrature gives weight; the
+    # disk listed twice is a union whose second ball owns no node
     disk = PseudoDisk(0.3 - 0.5j, 0.45)
-    for domain in (_union_of(_jet_union_scheme())[1], _RING, _BLOB, Domain((disk, disk))):
+    domains = (_union_of(_jet_union_scheme())[1], _RING, _BLOB, Domain((disk, disk)))
+    # the domains own some ring as two or more arcs, and some arc wraps
+    # past angle 0
+    arcs = [interpolation._arcs(own) for dom in domains
+            for *_, own in interpolation._ball_rules(dom, *grid)]
+    assert any((np.bincount(row) >= 2).any() for row, _, _ in arcs if len(row))
+    assert any((start + length > grid[1]).any() for _, start, length in arcs)
+    for domain in domains:
         center = np.mean([pseudo_to_euclidean(b).center for b in domain.balls])
         R, s, rows = interpolation._union_r(domain, center, 32, grid)
         nodes, weights = domain_quadrature(domain, *grid)
@@ -891,7 +921,7 @@ def test_blocked_r_matches_scipy_qr():
     n = 2 * interpolation.QR_BLOCK + 37
     x = 0.9 * (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n))
     A = np.sqrt(rng.uniform(0.5, 1.0, n))[:, None] * x[:, None] ** np.arange(16)
-    R = interpolation._tsqr_r(A)
+    R = interpolation._tsqr_r(A.copy(order="F"))
     assert R.shape == (16, 16)
     assert np.allclose(np.tril(R, -1), 0.0)
     got = np.linalg.svd(R, compute_uv=False)
@@ -908,9 +938,13 @@ def test_blocked_qr_writes_q_over_a(rows):
     x = 0.9 * (rng.uniform(-1, 1, rows) + 1j * rng.uniform(-1, 1, rows))
     A0 = np.asfortranarray(np.sqrt(rng.uniform(0.5, 1.0, rows))[:, None]
                            * x[:, None] ** np.arange(16))
+    import scipy.linalg
+
     A = A0.copy(order="F")
-    R = interpolation._tsqr_r(A, overwrite_q=True)
-    np.testing.assert_array_equal(R, interpolation._tsqr_r(A0))
+    R = interpolation._tsqr_r(A)
+    want = scipy.linalg.svdvals(scipy.linalg.qr(A0, mode="r")[0])
+    np.testing.assert_allclose(np.linalg.svd(R, compute_uv=False), want, rtol=0,
+                               atol=1e-13 * want[0])
     np.testing.assert_allclose(A.conj().T @ A, np.eye(16), rtol=0, atol=1e-13)
     np.testing.assert_allclose(A @ R, A0, rtol=0, atol=1e-13 * np.linalg.norm(A0, 2))
 
@@ -926,12 +960,82 @@ def test_blocked_qr_forms_no_second_matrix():
     A = np.asfortranarray(x[:, None] ** np.arange(32))
     tracemalloc.start()
     try:
-        interpolation._tsqr_r(A, overwrite_q=True)
+        interpolation._tsqr_r(A)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert A.nbytes + peak <= 1.25 * A.nbytes
     np.testing.assert_allclose(A.conj().T @ A, np.eye(32), rtol=0, atol=1e-13)
+
+
+def _arcs_loop(own):
+    """The circular runs of True of every partly True row, one node at a
+    time: a run starts at a True node after a False one, angle 0 following
+    the last angle."""
+    runs = []
+    for j, row in enumerate(own):
+        if row.all():
+            continue
+        n = len(row)
+        for i in range(n):
+            if row[i] and not row[i - 1]:
+                length = 1
+                while row[(i + length) % n]:
+                    length += 1
+                runs.append((j, i, length))
+    return sorted(runs)
+
+
+def _arcs_sorted(own):
+    return sorted(zip(*(a.tolist() for a in interpolation._arcs(own))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(st.booleans(), min_size=n, max_size=n), min_size=1, max_size=5)))
+def test_arcs_match_a_per_row_loop(rows):
+    own = np.array(rows, dtype=bool)
+    assert _arcs_sorted(own) == _arcs_loop(own)
+
+
+def test_arcs_of_wrapping_single_and_several_runs():
+    own = np.array([
+        [1, 1, 0, 0, 1, 1, 1, 1],  # one run, wrapping past angle 0
+        [0, 1, 0, 0, 0, 0, 0, 0],  # a single node
+        [1, 0, 1, 1, 0, 1, 0, 0],  # three runs, one of a single node
+        [1, 1, 1, 1, 1, 0, 1, 1],  # all but one node: one wrapping run
+        [1, 1, 1, 1, 1, 1, 1, 1],  # owned in full: no arc
+        [0, 0, 0, 0, 0, 0, 0, 0],  # not owned: no arc
+        [1, 0, 1, 0, 1, 0, 1, 0],  # four single nodes
+    ], dtype=bool)
+    want = [(0, 4, 6), (1, 1, 1), (2, 0, 1), (2, 2, 2), (2, 5, 1), (3, 6, 7),
+            (6, 0, 1), (6, 2, 1), (6, 4, 1), (6, 6, 1)]
+    assert _arcs_sorted(own) == want == _arcs_loop(own)
+
+
+@pytest.mark.parametrize("n_t,b", [(96, 12), (256, 32)])
+def test_arc_triangles(n_t, b):
+    # R(E_L) for every arc length, E_L[j, l] = e^(2 pi i j l / n_t); the
+    # cache keeps nothing that depends on the order of the calls
+    lengths = range(1, n_t)
+    interpolation._arc_r.cache_clear()
+    interpolation._arc_anchors.cache_clear()
+    first = {L: interpolation._arc_r(n_t, b, L) for L in lengths}
+    interpolation._arc_r.cache_clear()
+    interpolation._arc_anchors.cache_clear()
+    again = {L: interpolation._arc_r(n_t, b, L) for L in reversed(lengths)}
+    info = interpolation._arc_r.cache_info()
+    assert info.currsize <= info.maxsize == 128
+    for L in lengths:
+        R = first[L]
+        assert R.shape == (min(L, b), b)
+        assert np.array_equal(np.triu(R), R)
+        assert not R.flags.writeable
+        assert R.nbytes <= b * b * 16
+        assert np.array_equal(R, again[L])
+        E = np.exp(2j * np.pi * np.outer(np.arange(L), np.arange(b)) / n_t)
+        EhE = E.conj().T @ E
+        assert np.linalg.norm(R.conj().T @ R - EhE) <= 1e-13 * np.linalg.norm(EhE)
 
 
 # -------------------------------------------------------------- worked norms
