@@ -52,8 +52,6 @@ GAP_TOL = 1e-9
 NEWTON_MAX_ITER = 60
 # Quadrature nodes per block when assembling a Newton system.
 _NODE_CHUNK = 4096
-# Rows per block of the blocked QR of a union's basis values.
-QR_BLOCK = 1024
 # Default (radial, angular) quadrature grid of quotient_norm_general.
 QUAD_GRID = (64, 256)
 # target_norm's polynomial basis size for m constraints: max(UNION_BASIS, m).
@@ -281,6 +279,8 @@ class _DenseMap:
 
     def __init__(self, M):
         self.M = M
+        # two node-chunk arrays that every forms call reuses
+        self.work = np.empty((2, min(len(M), _NODE_CHUNK), M.shape[1]), dtype=complex)
 
     def values(self, t):
         return self.M @ t
@@ -290,14 +290,17 @@ class _DenseMap:
         return np.conj(np.conj(y) @ self.M)
 
     def forms(self, S, D):
-        """(M^H diag(S) M, M^T diag(D) M), assembled in node chunks."""
+        """(M^H diag(S) M, M^T diag(D) M), assembled in node chunks in the
+        work arrays, so that a Newton step allocates no chunk of nodes."""
         m = self.M.shape[1]
         A = np.zeros((m, m), dtype=complex)
         B = np.zeros((m, m), dtype=complex)
         for lo in range(0, len(S), _NODE_CHUNK):
             Mc = self.M[lo:lo + _NODE_CHUNK]
-            A += Mc.conj().T @ (S[lo:lo + _NODE_CHUNK, None] * Mc)
-            B += Mc.T @ (D[lo:lo + _NODE_CHUNK, None] * Mc)
+            C, W = self.work[:, :len(Mc)]
+            np.conjugate(Mc, out=C)
+            A += C.T @ np.multiply(S[lo:lo + _NODE_CHUNK, None], Mc, out=W)
+            B += Mc.T @ np.multiply(D[lo:lo + _NODE_CHUNK, None], Mc, out=W)
         return A, B
 
 
@@ -381,31 +384,6 @@ def _holder_bracket(u, b, M, weights, p, delta):
     return _lp_norm(u, weights, p), lower
 
 
-def _tsqr_r(A):
-    """R of a QR factorisation A = Q R of the matrix A (R's rows up to unit
-    factors; min(rows, columns) of them), with A overwritten by Q:
-    Householder QR of row blocks of QR_BLOCK, then of their stacked R
-    factors, so it is as backward stable as one QR of A.  Q is each block's
-    Q times its rows of the second QR's Q, and no other array of A's size
-    is formed.  It factors a union's basis values at p != 2; at p = 2 the
-    union's R comes from closed-form ring and arc triangles (_union_r)."""
-    blocks = range(0, len(A), QR_BLOCK)
-    Rs = []
-    for lo in blocks:
-        Qb, Rb = np.linalg.qr(A[lo:lo + QR_BLOCK])
-        A[lo:lo + QR_BLOCK, :Qb.shape[1]] = Qb
-        Rs.append(Rb)
-    if len(Rs) == 1:
-        return Rs[0]
-    Q2, R = np.linalg.qr(np.vstack(Rs))
-    row = 0
-    for lo, Rb in zip(blocks, Rs):
-        k = len(Rb)
-        A[lo:lo + QR_BLOCK] = A[lo:lo + QR_BLOCK, :k] @ Q2[row:row + k]
-        row += k
-    return R
-
-
 def _rank(sv, rows, basis_size):
     """Which singular values sv to keep: those above eps * max(rows,
     basis_size) of the largest, as numpy's lstsq keeps them."""
@@ -418,16 +396,6 @@ def _ring_norms(r, w, s, n_t, basis_size):
     nodes of weight w_j on ring j."""
     powers = (r / s)[:, None] ** np.arange(basis_size)
     return np.sqrt(n_t * (w @ powers ** 2))
-
-
-def _weighted_monomials(x, weights, basis_size):
-    """sqrt(weights) x^k for k < basis_size, column by column in Fortran
-    order, so that each column is contiguous."""
-    A = np.empty((len(x), basis_size), dtype=complex, order="F")
-    A[:, 0] = np.sqrt(weights)
-    for k in range(1, basis_size):
-        np.multiply(A[:, k - 1], x, out=A[:, k])
-    return A
 
 
 def _arcs(own):
@@ -458,42 +426,29 @@ def _ring_phases(n_t, rows, cols):
     return np.exp(2j * np.pi * np.arange(n_t) / n_t)[np.multiply.outer(rows, cols) % n_t]
 
 
-@lru_cache(maxsize=8)
-def _arc_anchors(n_t, b):
-    """(A_1, A_2, ...): A_k = R(E_kb) for kb < n_t, read-only, E_L the L x b
-    matrix _ring_phases(n_t, range(L), range(b)).  A_k is the R of A_(k-1)
-    stacked over rows (k-1)b to kb - 1 of E, A_0 having no rows.  An entry
-    is fewer than n_t / b matrices of b^2 complex numbers: n_t b 16 bytes,
-    128 KiB at (n_t, b) = (256, 32)."""
-    anchors = []
-    A = np.empty((0, b), dtype=complex)
-    for lo in range(0, n_t - b, b):
-        A = np.linalg.qr(np.vstack([A, _ring_phases(n_t, np.arange(lo, lo + b), np.arange(b))]),
-                         mode="r")
-        A.flags.writeable = False
-        anchors.append(A)
-    return tuple(anchors)
+@lru_cache(maxsize=128)
+def _arc_r(n_t, b, L):
+    """R(E_L), read-only: the R of one Householder QR of E_L, an
+    upper-trapezoidal min(L, b) x b matrix with R^H R = E_L^H E_L,
+    E_L[j, l] = e^(2 pi i j l / n_t) for j < L and l < b (_ring_phases):
+    the monomials up to degree b - 1 at L consecutive nodes of a ring of
+    n_t equally spaced angles, in the angle's phase.  It is bit for bit the
+    R of np.linalg.qr(E_L), whose Q the basis at p != 2 keeps (_arc_q).
+    The cache holds at most 128 entries of at most b^2 complex numbers:
+    128 b^2 16 bytes, 2 MiB at b = 32."""
+    R = np.linalg.qr(_ring_phases(n_t, np.arange(L), np.arange(b)), mode="r")
+    R.flags.writeable = False
+    return R
 
 
 @lru_cache(maxsize=128)
-def _arc_r(n_t, b, L):
-    """R(E_L), read-only: an upper-trapezoidal min(L, b) x b matrix with
-    R^H R = E_L^H E_L, E_L[j, l] = e^(2 pi i j l / n_t) for j < L and l < b
-    (_ring_phases): the monomials up to degree b - 1 at L consecutive
-    nodes of a ring of n_t equally spaced angles, in the angle's phase.
-
-    The QR of the anchor A_(L // b) (_arc_anchors) stacked over the fewer
-    than b rows of E_L after it, so the result depends on (n_t, b, L)
-    alone, whatever was asked before.  The cache holds at most 128 entries
-    of at most b^2 complex numbers: 128 b^2 16 bytes, 2 MiB at b = 32."""
-    k = L // b
-    head = _arc_anchors(n_t, b)[k - 1] if k else np.empty((0, b), dtype=complex)
-    if L == k * b:
-        return head
-    R = np.linalg.qr(np.vstack([head, _ring_phases(n_t, np.arange(k * b, L), np.arange(b))]),
-                     mode="r")
-    R.flags.writeable = False
-    return R
+def _arc_q(n_t, b, L):
+    """Q(E_L), read-only: the L x min(L, b) Q of np.linalg.qr(E_L), with
+    E_L = Q(E_L) _arc_r(n_t, b, L); only the basis at p != 2 asks for it.
+    At most 128 entries of at most n_t b complex numbers: 16 MiB at (256, 32)."""
+    Q = np.linalg.qr(_ring_phases(n_t, np.arange(L), np.arange(b)))[0]
+    Q.flags.writeable = False
+    return Q
 
 
 @lru_cache(maxsize=8)
@@ -519,8 +474,8 @@ def _owned_reach(rules, center):
     return s
 
 
-def _union_r(domain, center, basis_size, grid):
-    """(R, s, rows): an upper-triangular R with R^H R = A^H A for the
+def _union_r(domain, center, basis_size, grid, with_span=False):
+    """(R, s, rows, basis): an upper-triangular R with R^H R = A^H A for the
     weighted scaled monomials A = sqrt(w) ((z - center)/s)^k at the `rows`
     nodes a union of balls owns (_ball_rules), s the largest |z - center|
     among them, without forming A or any row of it.
@@ -539,26 +494,80 @@ def _union_r(domain, center, basis_size, grid):
     about b rows per arc, gives the ball's R_j with R_j^H R_j = V^H V, and
     R is the R of the balls' R_j P stacked: b rows per ball.  (A ball with
     no full ring has nu = 0, and one that owns no node R_j = 0.)
+
+    basis is None unless `with_span`; then the Q factors of those QRs are
+    kept too (Q_L of E_L from _arc_q, Q_j of the ball's stack, Q_s of the
+    balls' R_j P), so that A = Q R with Q = [Q_L ... ; V_full / nu] Q_j
+    Q_s,j on ball j's rows, V_full its rows on the full rings: orthonormal
+    by construction, with no QR over node rows.  basis is (q, weights),
+    q(Y) = Q Y / sqrt(w) at the owned nodes in domain_quadrature's order
+    (one product with Q_L per arc length, one with E_(n_t) for the full
+    rings) and weights their weights.
     """
     rules = _ball_rules(domain, *grid)
     s = _owned_reach(rules, center)
     n_t = grid[1]
     k = np.arange(basis_size)
-    blocks = []
+    blocks, Qjs, arcs, full_rings, lo, g = [], [], {}, [], 0, 0
     for e, r, w, _, own in rules:
         row, start, length = _arcs(own)
         tri = [_arc_r(n_t, basis_size, L) for L in length.tolist()]
+        m = [len(t) for t in tri]
         full = own.all(axis=1)
-        V = np.vstack(tri + [np.diag(_ring_norms(r[full], w[full], s, n_t, basis_size))],
-                      dtype=complex)
+        nu = _ring_norms(r[full], w[full], s, n_t, basis_size)
+        V = np.vstack(tri + [np.diag(nu)], dtype=complex)
         V[:len(V) - basis_size] *= np.repeat(
             np.sqrt(w[row])[:, None] * (r[row] / s)[:, None] ** k * _ring_phases(n_t, start, k),
-            [len(t) for t in tri], axis=0)
+            m, axis=0)
         a = (e.center - center) / s
-        blocks.append(np.linalg.qr(V, mode="r")
-                      @ (_binomials(basis_size) * (a ** k)[np.maximum(k - k[:, None], 0)]))
+        P = _binomials(basis_size) * (a ** k)[np.maximum(k - k[:, None], 0)]
+        if not with_span:
+            blocks.append(np.linalg.qr(V, mode="r") @ P)
+            continue
+        Qj, Rj = np.linalg.qr(V)
+        blocks.append(Rj @ P)
+        # an arc's rows of Q_j over sqrt(w) of its ring: Q_L times them is
+        # the arc's part of Q over sqrt(w)
+        Qj[:len(V) - basis_size] /= np.repeat(np.sqrt(w[row]), m)[:, None]
+        Qjs.append(Qj)
+        # rows of the balls' Q_j stacked, and places in the owned order
+        at = lo + np.cumsum(own.ravel()) - 1
+        for first, j, i0, L in zip((g + np.cumsum([0] + m)).tolist(), row.tolist(),
+                                   start.tolist(), length.tolist()):
+            arcs.setdefault(L, []).append((first, at[j * n_t + (i0 + np.arange(L)) % n_t]))
+        full_rings.append((np.full(np.count_nonzero(full), g + len(V) - basis_size),
+                           (r[full] / s)[:, None] ** k / nu,
+                           at[np.flatnonzero(full)[:, None] * n_t + np.arange(n_t)]))
+        lo += np.count_nonzero(own)
+        g += len(V)
     rows = sum(np.count_nonzero(own) for *_, own in rules)
-    return np.linalg.qr(np.vstack(blocks), mode="r"), s, rows
+    if not with_span:
+        return np.linalg.qr(np.vstack(blocks), mode="r"), s, rows, None
+    Qs, R = np.linalg.qr(np.vstack(blocks))
+    G = np.vstack([Qj @ Qsj for Qj, Qsj in zip(Qjs, np.split(Qs, len(Qjs)))])
+    # per arc length L: Q_L, the rows of G its arcs take and their nodes,
+    # one column per arc
+    groups = []
+    for L, items in arcs.items():
+        QL = _arc_q(n_t, basis_size, L)
+        first, at = zip(*items)
+        groups.append((QL, np.add.outer(np.arange(QL.shape[1]), first), np.array(at).T))
+    first, y, full_at = (np.concatenate(part) for part in zip(*full_rings))
+    y, nu_rows, full_at = y.T, np.add.outer(k, first), full_at.T  # one column per full ring
+    ring = _ring_phases(n_t, np.arange(n_t), k)  # E_(n_t): the monomials on a whole ring
+
+    def q(Y):
+        H = G @ Y
+        out = np.empty((rows, Y.shape[1]), dtype=complex)
+        for QL, idx, at in groups:
+            out[at] = (QL @ H[idx].reshape(len(idx), -1)).reshape(at.shape + (-1,))
+        Z = y[:, :, None] * H[nu_rows]
+        out[full_at] = (ring @ Z.reshape(basis_size, -1)).reshape(full_at.shape + (-1,))
+        return out
+
+    weights = np.concatenate([np.broadcast_to(w[:, None], own.shape)[own]
+                              for _, _, w, _, own in rules])
+    return R, s, rows, (q, weights)
 
 
 def _disk_constraints(e, points, orders, basis_size, grid, with_span):
@@ -590,37 +599,26 @@ def _basis_constraints(domain, points, orders, basis_size, grid, with_span):
     values at the quadrature nodes that carry weight, whose weights are
     `weights`; both are None unless `with_span`.  A disk has the closed
     form of _disk_constraints.  On a union of balls the weighted scaled
-    monomials at the owned nodes factor as Q R, and R's SVD gives Phi.
-    Without `with_span` only R is needed, and _union_r forms it from
-    closed-form triangles of the rings a ball owns in full and cached arc
-    triangles of those it owns in part, with no node's values.  With it
-    the blocked QR (_tsqr_r) writes Q over the monomials at every owned
-    node, and Q @ Ur is Phi times sqrt(weights) there.
+    monomials at the owned nodes factor as Q R (_union_r: closed-form
+    triangles of the rings a ball owns in full, cached ones of the arcs of
+    those it owns in part), R = Ur S Wh gives the basis coefficients, and
+    Q Ur is Phi times sqrt(weights).  Only `with_span` keeps Q's factors,
+    and span(X) writes Q Ur X / sqrt(w) from them into a _DenseMap.
     """
     balls = [domain] if isinstance(domain, PseudoDisk) else list(domain.balls)
     if len(balls) == 1:
         return _disk_constraints(pseudo_to_euclidean(balls[0]), points, orders, basis_size,
                                  grid, with_span)
     center = np.mean([pseudo_to_euclidean(b).center for b in balls])
-    if with_span:
-        nodes, weights = domain_quadrature(domain, *grid)
-        owned = weights > 0.0
-        U, weights = nodes[owned] - center, weights[owned]
-        s = float(np.abs(U).max())
-        rows = len(U)
-        Q = _weighted_monomials(U / s, weights, basis_size)
-        R = _tsqr_r(Q)
-    else:
-        # R alone carries the singular values and right singular vectors
-        R, s, rows = _union_r(domain, center, basis_size, grid)
+    R, s, rows, basis = _union_r(domain, center, basis_size, grid, with_span)
     Ur, sa, Wh = np.linalg.svd(R)
     r = int(_rank(sa, rows, basis_size).sum())
     T = Wh[:r].conj().T / sa[:r]  # monomial coefficients of the orthonormal basis
     C = _constraint_matrix(points, orders, center, s, basis_size) @ T
     if not with_span:
         return C, None, None
-    sw = np.sqrt(weights)
-    return C, lambda X: _DenseMap((Q @ (Ur[:, :r] @ X)) / sw[:, None]), weights
+    q, weights = basis
+    return C, lambda X: _DenseMap(q(Ur[:, :r] @ X)), weights
 
 
 def _min_norm_coeffs(C, W):
@@ -653,15 +651,15 @@ def quotient_norm_general(
     basis values.  Directions whose singular value is below
     eps * (node count) of the largest, which float64 cannot resolve, are
     dropped, as numpy's lstsq drops them.  In that basis the p = 2
-    minimiser is closed form, and at p = 2 its norm is returned; on a
-    union that needs R alone, which comes from closed-form triangles of
-    the rings a ball owns in full and cached triangles of the arcs of
-    those it owns in part, with no QR over nodes (_union_r).  Otherwise
-    a blocked Householder QR (_tsqr_r) gives R and the basis at the
-    nodes, and damped Newton runs from the minimiser on the real and
-    imaginary parts of the null-space coordinates (on the smoothed
-    (|g|^2 + d^2)^(p/2), d shrinking towards 0, when p < 2); the value
-    is returned once the relative gap between
+    minimiser is closed form, and at p = 2 its norm is returned.  On a
+    union the one factorisation of _union_r serves every p: closed-form
+    triangles of the rings a ball owns in full and cached triangles of the
+    arcs of those it owns in part, with no QR over nodes; at p = 2 it forms
+    R alone, and otherwise it keeps the Q factors of those triangles,
+    which give the basis at the nodes.  At p != 2 damped Newton then runs
+    from the minimiser on the real and imaginary parts of the null-space
+    coordinates (on the smoothed (|g|^2 + d^2)^(p/2), d shrinking towards
+    0, when p < 2); the value is returned once the relative gap between
     the objective and a Hölder lower bound is at most GAP_TOL: it is then
     certified to GAP_TOL for the discretised problem.  On a disk every
     product with the null-space basis is one FFT per ring of nodes
@@ -691,7 +689,6 @@ def quotient_norm_general(
         return float(np.linalg.norm(c2))
     b = span(c2).values(np.ones(1))  # the p = 2 minimiser at the nodes
     M = span(null.conj().T)
-    del span  # on a union, frees Q
 
     m = len(null)
     delta = 0.1 * _lp_norm(b, weights, 2.0) / np.sqrt(weights.sum()) if p < 2.0 else 0.0
@@ -796,7 +793,8 @@ def _cluster_factor(domain, points, orders):
     the feasibility test for every unit target (so C has full row rank),
     F = R^H from the QR of C^H, so F F^H = C C^H.  C comes from the union's
     R factor (_union_r): closed-form triangles of the rings a ball owns in
-    full and cached arc triangles of the rings it owns in part.
+    full and cached arc triangles of the rings it owns in part, R alone,
+    with no Q formed.
     """
     C = _basis_constraints(
         domain, points, orders, max(UNION_BASIS, len(points)), QUAD_GRID, with_span=False

@@ -4,7 +4,6 @@ import os
 import re
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -284,7 +283,7 @@ def _ball_chain(center, radius, steps):
     st.floats(0.0, 0.6),
     st.floats(0.0, 2.0 * np.pi),
     st.floats(0.15, 0.5),
-    st.lists(st.tuples(st.floats(0.4, 1.4), st.floats(0.0, 2.0 * np.pi)), max_size=2),
+    st.lists(st.tuples(st.floats(0.4, 1.4), st.floats(0.0, 2.0 * np.pi)), max_size=4),
     st.lists(
         st.tuples(st.floats(0.2, 0.6), st.integers(0, 1), st.floats(0.2, 1.0),
                   st.floats(0.0, 2.0 * np.pi)),
@@ -293,7 +292,7 @@ def _ball_chain(center, radius, steps):
     st.floats(1.0, 4.0),
 )
 def test_general_p_within_p2_bracket(c_abs, c_arg, radius, steps, jets, p):
-    # random disks and 2-3 ball chains, 1-3 jets of order <= 1: the
+    # random disks and 2-5 ball chains, 1-3 jets of order <= 1: the
     # certified value never exceeds the p = 2 minimiser's L^p norm and
     # never falls below a Hölder bound of the test's own
     domain = _ball_chain(c_abs * np.exp(1j * c_arg), radius, steps)
@@ -448,10 +447,11 @@ def test_disk_general_p_within_long_double_bracket():
         assert lower * (1.0 - 1e-9) <= got <= upper * (1.0 + 1e-9)
 
 
-def test_disk_path_matches_the_dense_path():
+def test_disk_path_matches_the_union_path():
     # a one-ball Domain takes the disk path too; the disk listed twice is a
-    # union whose second ball owns no node, so the dense QR path runs on
-    # the same nodes and must give the same values
+    # union whose second ball owns no node, so the union path (_union_r's
+    # triangles and their Q factors) runs on the same nodes and must give
+    # the same values
     dom = PseudoDisk(0.3 - 0.5j, 0.45)
     cons = _disk_jets(dom.center, dom.radius)
     for p in (1.0, 1.5, 2.0, 3.0):
@@ -740,7 +740,7 @@ def test_union_factor_matches_the_owned_rows(grid):
     assert any((start + length > grid[1]).any() for _, start, length in arcs)
     for domain in domains:
         center = np.mean([pseudo_to_euclidean(b).center for b in domain.balls])
-        R, s, rows = interpolation._union_r(domain, center, 32, grid)
+        R, s, rows, _ = interpolation._union_r(domain, center, 32, grid)
         nodes, weights = domain_quadrature(domain, *grid)
         owned = weights > 0.0
         assert rows == owned.sum()
@@ -750,6 +750,39 @@ def test_union_factor_matches_the_owned_rows(grid):
         AhA = A.conj().T @ A
         assert np.allclose(np.tril(R, -1), 0.0)
         assert np.linalg.norm(R.conj().T @ R - AhA) <= 1e-12 * np.linalg.norm(AhA)
+
+
+@pytest.mark.parametrize("grid,b", [((24, 96), 12), ((64, 256), 32)])
+def test_union_basis_is_orthonormal(grid, b):
+    # the p != 2 basis from _union_r's kept Q factors, at the owned nodes
+    # of domain_quadrature in its order: it is orthonormal in their
+    # weights, it spans the scaled monomials there, and the p = 2
+    # minimiser through it has the norm that R alone gives
+    chain = build_minimal_scheme(
+        PointSequence(0.5 * np.exp(1j * np.linspace(0.0, 1.2, 20))), 0.05).domains[0]
+    disk = PseudoDisk(0.3 - 0.5j, 0.45)
+    for domain in (chain, _RING, _BLOB, _union_of(_jet_union_scheme())[1], Domain((disk, disk))):
+        first, last = domain.balls[0], domain.balls[-1]
+        cons = _disk_jets(first.center, first.radius) + [JetConstraint(last.center, 0, 0.4j)]
+        C, span, weights = interpolation._basis_constraints(
+            domain, [c.point for c in cons], [c.order for c in cons], b, grid, True)
+        nodes, quad_weights = domain_quadrature(domain, *grid)
+        owned = quad_weights > 0.0
+        assert np.array_equal(weights, quad_weights[owned])
+        Phi = span(np.eye(C.shape[1])).M
+        gram = Phi.conj().T @ (weights[:, None] * Phi)
+        assert np.abs(gram - np.eye(C.shape[1])).max() <= 1e-13
+        center = np.mean([pseudo_to_euclidean(ball).center for ball in domain.balls])
+        x = (nodes[owned] - center) / np.abs(nodes[owned] - center).max()
+        sw = np.sqrt(weights)[:, None]
+        A = sw * x[:, None] ** np.arange(b)
+        res = A - sw * Phi @ np.linalg.lstsq(sw * Phi, A, rcond=None)[0]
+        assert np.linalg.norm(res) <= 1e-12 * np.linalg.norm(A)
+        w = np.array([c.value for c in cons])
+        c2, _ = interpolation._min_norm_coeffs(C, w[:, None])
+        u = span(c2).values(np.ones(1))
+        assert np.sqrt(weights @ np.abs(u) ** 2) == pytest.approx(
+            quotient_norm_general(domain, cons, 2.0, basis_size=b, grid=grid), rel=1e-13)
 
 
 def test_union_p2_norm_within_long_double_bracket():
@@ -913,61 +946,6 @@ def test_exact_constant_raises_like_the_probe():
         interpolation_constant_p2(scheme)
 
 
-def test_blocked_r_matches_scipy_qr():
-    # a node count that is not a multiple of the block size
-    import scipy.linalg
-
-    rng = np.random.default_rng(5)
-    n = 2 * interpolation.QR_BLOCK + 37
-    x = 0.9 * (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n))
-    A = np.sqrt(rng.uniform(0.5, 1.0, n))[:, None] * x[:, None] ** np.arange(16)
-    R = interpolation._tsqr_r(A.copy(order="F"))
-    assert R.shape == (16, 16)
-    assert np.allclose(np.tril(R, -1), 0.0)
-    got = np.linalg.svd(R, compute_uv=False)
-    want = scipy.linalg.svdvals(scipy.linalg.qr(A, mode="r")[0])
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * want[0])
-    np.testing.assert_allclose(R.conj().T @ R, A.conj().T @ A, rtol=0,
-                               atol=1e-13 * want[0] ** 2)
-
-
-@pytest.mark.parametrize("rows", [2 * interpolation.QR_BLOCK + 37, interpolation.QR_BLOCK + 5])
-def test_blocked_qr_writes_q_over_a(rows):
-    # the second size leaves a last block of 5 rows, fewer than the columns
-    rng = np.random.default_rng(6)
-    x = 0.9 * (rng.uniform(-1, 1, rows) + 1j * rng.uniform(-1, 1, rows))
-    A0 = np.asfortranarray(np.sqrt(rng.uniform(0.5, 1.0, rows))[:, None]
-                           * x[:, None] ** np.arange(16))
-    import scipy.linalg
-
-    A = A0.copy(order="F")
-    R = interpolation._tsqr_r(A)
-    want = scipy.linalg.svdvals(scipy.linalg.qr(A0, mode="r")[0])
-    np.testing.assert_allclose(np.linalg.svd(R, compute_uv=False), want, rtol=0,
-                               atol=1e-13 * want[0])
-    np.testing.assert_allclose(A.conj().T @ A, np.eye(16), rtol=0, atol=1e-13)
-    np.testing.assert_allclose(A @ R, A0, rtol=0, atol=1e-13 * np.linalg.norm(A0, 2))
-
-
-def test_blocked_qr_forms_no_second_matrix():
-    # Q takes A's place: at a union's size (two balls at 0 and 0.05 own
-    # 20,004 nodes of the default grid, 20 blocks) A and the call's own
-    # arrays stay within 1.25 A.  At a block or two each block is half of
-    # A, and so are the block QR's arrays
-    rng = np.random.default_rng(7)
-    rows = 32 * interpolation.QR_BLOCK + 37
-    x = 0.9 * (rng.uniform(-1, 1, rows) + 1j * rng.uniform(-1, 1, rows))
-    A = np.asfortranarray(x[:, None] ** np.arange(32))
-    tracemalloc.start()
-    try:
-        interpolation._tsqr_r(A)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert A.nbytes + peak <= 1.25 * A.nbytes
-    np.testing.assert_allclose(A.conj().T @ A, np.eye(32), rtol=0, atol=1e-13)
-
-
 def _arcs_loop(own):
     """The circular runs of True of every partly True row, one node at a
     time: a run starts at a True node after a False one, angle 0 following
@@ -1016,16 +994,17 @@ def test_arcs_of_wrapping_single_and_several_runs():
 @pytest.mark.parametrize("n_t,b", [(96, 12), (256, 32)])
 def test_arc_triangles(n_t, b):
     # R(E_L) for every arc length, E_L[j, l] = e^(2 pi i j l / n_t); the
-    # cache keeps nothing that depends on the order of the calls
+    # cache keeps nothing that depends on the order of the calls, and its R
+    # is bit for bit that of the full QR, whose Q the p != 2 basis keeps
+    # (_arc_q)
     lengths = range(1, n_t)
     interpolation._arc_r.cache_clear()
-    interpolation._arc_anchors.cache_clear()
     first = {L: interpolation._arc_r(n_t, b, L) for L in lengths}
     interpolation._arc_r.cache_clear()
-    interpolation._arc_anchors.cache_clear()
     again = {L: interpolation._arc_r(n_t, b, L) for L in reversed(lengths)}
-    info = interpolation._arc_r.cache_info()
-    assert info.currsize <= info.maxsize == 128
+    for cached in (interpolation._arc_r, interpolation._arc_q):
+        info = cached.cache_info()
+        assert info.currsize <= info.maxsize == 128
     for L in lengths:
         R = first[L]
         assert R.shape == (min(L, b), b)
@@ -1033,7 +1012,16 @@ def test_arc_triangles(n_t, b):
         assert not R.flags.writeable
         assert R.nbytes <= b * b * 16
         assert np.array_equal(R, again[L])
+        Q_full, R_full = np.linalg.qr(
+            interpolation._ring_phases(n_t, np.arange(L), np.arange(b)))
+        assert np.array_equal(R_full, R)
+        Q = interpolation._arc_q(n_t, b, L)
+        assert np.array_equal(Q, Q_full)
+        assert not Q.flags.writeable
+        assert Q.nbytes <= n_t * b * 16
+        assert np.abs(Q.conj().T @ Q - np.eye(min(L, b))).max() <= 1e-13
         E = np.exp(2j * np.pi * np.outer(np.arange(L), np.arange(b)) / n_t)
+        assert np.linalg.norm(Q @ R - E) <= 1e-13 * np.linalg.norm(E)
         EhE = E.conj().T @ E
         assert np.linalg.norm(R.conj().T @ R - EhE) <= 1e-13 * np.linalg.norm(EhE)
 
