@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -187,8 +188,8 @@ def _cmd_density(args, doc: dict) -> dict:
 
 
 def _cmd_interpolate(args, doc: dict) -> dict:
-    if args.p < 1.0:
-        raise ValueError("solver commands require p >= 1")
+    if not 1.0 <= args.p < math.inf:
+        raise ValueError(f"solver commands require finite p >= 1, got {args.p}")
     Z, jets = parse_sequence(doc)
     scheme, eps = _build_scheme(args, Z)
     targets = _targets_from_doc(scheme, _constraints(Z, jets, doc))
@@ -206,8 +207,8 @@ def _cmd_interpolate(args, doc: dict) -> dict:
 
 
 def _cmd_quotient(args, doc: dict) -> dict:
-    if args.p < 1.0:
-        raise ValueError("solver commands require p >= 1")
+    if not 1.0 <= args.p < math.inf:
+        raise ValueError(f"solver commands require finite p >= 1, got {args.p}")
     Z, jets = parse_sequence(doc)
     domain = doc.get("domain")
     if not isinstance(domain, dict) or not {"center", "radius"} <= domain.keys():

@@ -190,11 +190,10 @@ def quotient_norm_p2(domain: PseudoDisk, constraints) -> float:
     constraints = list(constraints)
     if not constraints:
         return 0.0
-    for c in constraints:
-        if psi(domain.center, c.point) > domain.radius:
-            raise ValueError(f"constraint point {c.point} outside the domain")
+    dom = Domain((domain,))
+    _check_inside([(dom, constraints)])
     ((_, F),) = _cluster_factors(
-        [Domain((domain,))], [[c.point for c in constraints]], [[c.order for c in constraints]]
+        [dom], [[c.point for c in constraints]], [[c.order for c in constraints]]
     )
     return float(np.linalg.norm(np.linalg.solve(F[0], [c.value for c in constraints])))
 
@@ -665,14 +664,14 @@ def quotient_norm_general(
     product with the null-space basis is one FFT per ring of nodes
     (_RingMap), so no node x basis matrix is formed.  Raises
     NonConvergence if the gap is still open after NEWTON_MAX_ITER steps,
-    and ValueError if basis_size exceeds the angular node count, past which
-    a ring cannot keep the monomials orthogonal.
+    and ValueError unless 1 <= p < inf or if basis_size exceeds the angular
+    node count, past which a ring cannot keep the monomials orthogonal.
     """
+    if not 1.0 <= p < np.inf:
+        raise ValueError(f"general quotient norm requires finite p >= 1, got {p}")
     constraints = list(constraints)
     if not constraints:
         return 0.0
-    if p < 1.0:
-        raise ValueError(f"general quotient norm requires p >= 1, got {p}")
     if basis_size < len(constraints):
         raise ValueError("basis_size must be >= number of constraints")
     if basis_size > grid[1]:
@@ -730,13 +729,23 @@ def target_norm(scheme: InterpolationScheme, targets: JetTargets, p: float) -> f
     At p = 2 each cluster norm is ||F_k^-1 w_k||, F_k the cluster's factor
     from _cluster_factors (so a union raises InfeasibleConstraints if any
     target of the cluster would), with one stacked solve per group of
-    disk clusters that share an order list; at other p it is
-    quotient_norm_general's, with max(UNION_BASIS, m) monomials for m
-    constraints.
+    disk clusters that share an order list.  At other p a disk cluster
+    with one constraint, a value w at z, is exact: A^p point evaluation on
+    the Euclidean image (c, R) of its disk, by Moebius transport and the
+    sub-mean-value property, gives ||w||^p = pi R^2 (1 - a^2)^2 |w|^p with
+    a = |z - c| / R, which is pi eps^2 (1 - |z|^2)^2 |w|^p (example1_norm's
+    weight) when z is the centre of its eps-disk, as in both scheme
+    builders.  Every other cluster norm is quotient_norm_general's, with
+    max(UNION_BASIS, m) monomials for m constraints.  Raises ValueError
+    unless 1 <= p < inf, or if a constraint point lies outside every ball
+    of its cluster's domain.
     """
+    if not 1.0 <= p < np.inf:
+        raise ValueError(f"target norm requires finite p >= 1, got {p}")
     if len(targets) != len(scheme.clusters):
         raise MalformedJet("targets must be parallel to the scheme's clusters")
     live = [(dom, cons) for dom, cons in zip(scheme.domains, targets.per_cluster) if cons]
+    _check_inside(live)
     if p == 2.0:
         groups = _cluster_factors([dom for dom, _ in live],
                                   [[c.point for c in cons] for _, cons in live],
@@ -748,8 +757,34 @@ def target_norm(scheme: InterpolationScheme, targets: JetTargets, p: float) -> f
         return total ** 0.5
     total = 0.0
     for dom, cons in live:
-        total += quotient_norm_general(dom, cons, p, basis_size=max(UNION_BASIS, len(cons))) ** p
+        if dom.is_disk and len(cons) == 1:
+            e = pseudo_to_euclidean(dom.balls[0])
+            a = abs(cons[0].point - e.center) / e.radius
+            total += abs(cons[0].value) ** p * np.pi * e.radius ** 2 * (1.0 - a * a) ** 2
+        else:
+            total += quotient_norm_general(dom, cons, p,
+                                           basis_size=max(UNION_BASIS, len(cons))) ** p
     return total ** (1.0 / p)
+
+
+def _check_inside(live):
+    """Raise ValueError if a constraint point of the (domain, constraints)
+    pairs lies outside every ball of its domain
+    (psi to each centre above that ball's radius): one psi_array test over
+    every (constraint, ball) pair."""
+    starts, z, c, r = [], [], [], []
+    for dom, cons in live:
+        for con in cons:
+            starts.append(len(z))
+            for b in dom.balls:
+                z.append(con.point)
+                c.append(b.center)
+                r.append(b.radius)
+    if not z:
+        return
+    inside = np.logical_or.reduceat(psi_array(z, c) <= np.array(r), starts)
+    if not inside.all():
+        raise ValueError(f"constraint point {z[starts[np.argmin(inside)]]} outside its domain")
 
 
 def solve_p2(scheme: InterpolationScheme, targets: JetTargets) -> SolveReport:
@@ -916,7 +951,12 @@ def interpolation_constant_p2(scheme: InterpolationScheme) -> float:
 
 
 def example1_norm(Z: PointSequence, values, p: float) -> float:
-    """Simple-interpolation norm (sum |w_k|^p (1-|z_k|^2)^2)^(1/p)."""
+    """Simple-interpolation norm (sum |w_k|^p (1-|z_k|^2)^2)^(1/p).
+
+    Times (pi eps^2)^(1/p) it is target_norm at p on a scheme whose
+    clusters are the singletons z_k with their eps-disks: the A^p quotient
+    norm of one value w at the centre z of D(z, eps) is
+    (pi eps^2)^(1/p) (1 - |z|^2)^(2/p) |w|."""
     a = Z.array
     if len(np.unique(a)) != len(a):
         raise DuplicatePoint("example1_norm requires distinct points")

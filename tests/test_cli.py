@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import diskinterp
-from diskinterp import errors
+from diskinterp import cli, errors
 from diskinterp.cli import main
 
 
@@ -88,6 +88,23 @@ def test_o_weight(tmp_path):
 def test_o_weight_rejects_bad_p(tmp_path, p):
     inp = write_doc(tmp_path, "in.json", {"points": [0.5], "coefficients": [2.0]})
     code, _ = run_cli(tmp_path, ["o-weight", inp, "--p", p])
+    assert code == 3
+
+
+@pytest.mark.parametrize("command", ["interpolate", "quotient"])
+@pytest.mark.parametrize("p", ["0.5", "nan", "inf"])
+def test_solver_commands_reject_bad_p_before_any_solve(tmp_path, monkeypatch, command, p):
+    # p = nan passed the old p < 1 test: interpolate ran its p = 2 solve
+    # and then 60 Newton steps before failing
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    for name in ("solve_p2", "target_norm", "quotient_norm_p2", "quotient_norm_general"):
+        monkeypatch.setattr(cli, name, no_solve)
+    inp = write_doc(tmp_path, "in.json", {"points": [0.0], "values": [2.0],
+                                          "domain": {"center": 0.0, "radius": 0.5}})
+    code, _ = run_cli(tmp_path, [command, inp, "--p", p]
+                      + (["--epsilon", "0.1"] if command == "interpolate" else []))
     assert code == 3
 
 

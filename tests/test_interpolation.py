@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import os
@@ -470,8 +471,8 @@ def test_basis_larger_than_a_ring_is_rejected():
 
 
 def test_general_p_on_disks_loads_no_scipy():
-    # singleton clusters and disks take the ring-FFT path, which needs no
-    # QR and so no scipy
+    # singleton clusters take the closed form and disks the ring-FFT
+    # path, which needs no QR and so no scipy
     src = str(Path(interpolation.__file__).resolve().parents[1])
     code = (
         "import sys\n"
@@ -516,6 +517,92 @@ def test_target_norm_lp_aggregation():
         quotient_norm_p2(scheme.domains[k].balls[0], t.per_cluster[k]) for k in (0, 1)
     ]
     assert n1 == pytest.approx(math.hypot(*parts), rel=1e-12)
+
+
+@pytest.mark.parametrize("build", [build_minimal_scheme, build_maximal_scheme])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0])
+def test_target_norm_on_singletons_is_the_example1_norm(build, p):
+    # one value w at the centre z of D(z, eps) has the A^p quotient norm
+    # (pi eps^2)^(1/p) (1 - |z|^2)^(2/p) |w|
+    eps = 0.05
+    Z = PointSequence([0.0, 0.4, 0.5 * np.exp(2.1j), -0.55j, 0.9 * np.exp(1j)])
+    vals = [1.0, 0.7j, -0.5, 2.0 - 1.0j, 0.3]
+    scheme = build(Z, eps)
+    assert len(scheme.clusters) == len(Z)
+    got = target_norm(scheme, JetTargets.values_on_scheme(scheme, vals), p)
+    want = (math.pi * eps * eps) ** (1.0 / p) * example1_norm(Z, vals, p)
+    assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.floats(0.0, 0.6),
+    st.floats(0.0, 2.0 * np.pi),
+    st.floats(0.15, 0.5),
+    st.floats(0.0, 0.98),
+    st.floats(0.0, 2.0 * np.pi),
+    st.floats(0.2, 2.0),
+    st.floats(0.0, 2.0 * np.pi),
+    st.floats(1.0, 4.0),
+)
+def test_one_point_closed_form_on_random_disks(c_abs, c_arg, radius, t, theta, mod, arg, p):
+    # one value anywhere in a random psi-disk: target_norm's closed form
+    # pi R^2 (1 - a^2)^2 |w|^p lies below the discretised polynomial
+    # minimum and above the sub-mean-value bound pi (R - |z - c|)^2 |w|^p,
+    # which it equals at the centre
+    disk = PseudoDisk(c_abs * np.exp(1j * c_arg), radius)
+    z = moebius(disk.center, -t * radius * np.exp(1j * theta))
+    cons = [JetConstraint(z, 0, mod * np.exp(1j * arg))]
+    scheme = dataclasses.replace(build_minimal_scheme(PointSequence([z]), 0.1),
+                                 domains=(Domain((disk,)),))
+    targets = JetTargets([cons])
+    closed = target_norm(scheme, targets, p)
+    general = quotient_norm_general(disk, cons, p)
+    e = pseudo_to_euclidean(disk)
+    d = abs(z - e.center)
+    assert closed <= general * (1.0 + 1e-9)
+    assert closed ** p >= math.pi * (e.radius - d) ** 2 * mod ** p * (1.0 - 1e-13)
+    if d <= 0.5 * e.radius:
+        # on the disk's image scaled to the unit disk the minimiser is
+        # w ((1 - |a|^2) / (1 - conj(a) u)^2)^(2/p), whose Taylor
+        # coefficients decay like |a|^k: 32 monomials resolve it for
+        # |a| <= 1/2, and Newton stops within GAP_TOL (measured <= 8.5e-10
+        # over 800 draws)
+        assert general <= closed * (1.0 + 2e-9)
+    assert target_norm(scheme, targets, 2.0) == pytest.approx(
+        quotient_norm_p2(disk, cons), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf, 0.5])
+def test_general_p_and_target_norm_reject_p_outside_one_to_inf(p):
+    # p = nan ran 60 Newton steps and raised NonConvergence, p = inf gave
+    # nan, and the closed form of a one-point disk would take p < 1
+    dom = PseudoDisk(0.0, 0.5)
+    cons = [JetConstraint(0.1, 0, 1.0), JetConstraint(-0.2j, 0, 1.0)]
+    with pytest.raises(ValueError, match="p >= 1"):
+        quotient_norm_general(dom, cons, p)
+    scheme = build_minimal_scheme(PointSequence([0.0, 0.7]), 0.1)
+    with pytest.raises(ValueError, match="p >= 1"):
+        target_norm(scheme, JetTargets.values_on_scheme(scheme, [1.0, 1.0]), p)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_target_norm_rejects_a_point_outside_its_cluster(p):
+    # 0.5 in the cluster of 0.1 at eps = 0.05 gave 5.65 at p = 2 and
+    # 3.9e-30 at p = 3
+    scheme = build_minimal_scheme(PointSequence([0.1]), 0.05)
+    with pytest.raises(ValueError, match="outside"):
+        target_norm(scheme, JetTargets([[JetConstraint(0.5, 0, 1.0)]]), p)
+    # on a union a point need only lie in one of the balls
+    union = build_minimal_scheme(PointSequence([0.0, 0.15]), 0.1)
+    (dom,) = union.domains
+    inner = moebius(0.15, -0.09)
+    assert psi(0.0, inner) > 0.1
+    ok = JetTargets([[JetConstraint(0.0, 0, 1.0), JetConstraint(inner, 0, -1.0)]])
+    assert target_norm(union, ok, p) > 0.0
+    bad = JetTargets([[JetConstraint(0.0, 0, 1.0), JetConstraint(0.3j, 0, -1.0)]])
+    with pytest.raises(ValueError, match="outside"):
+        target_norm(union, bad, p)
 
 
 def test_solve_p2_single_value():
