@@ -54,7 +54,8 @@ NEWTON_MAX_ITER = 60
 _NODE_CHUNK = 4096
 # Default (radial, angular) quadrature grid of quotient_norm_general.
 QUAD_GRID = (64, 256)
-# target_norm's polynomial basis size for m constraints: max(UNION_BASIS, m).
+# quotient_norm_general's default polynomial basis size; target_norm and
+# the p = 2 union factors take max(UNION_BASIS, m) for m constraints.
 UNION_BASIS = 32
 
 
@@ -170,17 +171,22 @@ def _kernel_factor(points, orders, center=0.0, s=1.0):
     """Cholesky factors L of the kernel Gram matrices G = L L^H of the jets
     on the Euclidean disks (center, s) (_gram, one matrix or a stack), so
     that the minimum A^2 norm of an interpolant of w is ||L^-1 w||.  One
-    condition number and one Cholesky call cover the stack.  Raises
-    SingularGram, naming the first matrix of the stack whose 2-norm
-    condition number is not at most GRAM_CONDITION_LIMIT."""
+    condition number per matrix and one Cholesky call cover the stack.
+    Raises SingularGram for the first matrix of the stack whose 2-norm
+    condition number is not at most GRAM_CONDITION_LIMIT: the message
+    names that number and the error's `index` is the matrix's position in
+    the stack (0 for a single matrix)."""
     G = _gram(points, orders, center, s)
     cond = np.ravel(np.linalg.cond(G))
-    # a nan condition number makes the maximum nan, which fails the test
-    if not cond.max() <= GRAM_CONDITION_LIMIT:
-        first = cond[~(cond <= GRAM_CONDITION_LIMIT)][0]
-        raise SingularGram(
-            f"Gram condition number {first:.3e} exceeds {GRAM_CONDITION_LIMIT:.0e}"
+    # a nan condition number fails the test too
+    failed = ~(cond <= GRAM_CONDITION_LIMIT)
+    if failed.any():
+        k = int(np.argmax(failed))
+        exc = SingularGram(
+            f"Gram condition number {cond[k]:.3e} exceeds {GRAM_CONDITION_LIMIT:.0e}"
         )
+        exc.index = k
+        raise exc
     return np.linalg.cholesky(G)
 
 
@@ -636,7 +642,7 @@ def quotient_norm_general(
     domain,
     constraints,
     p: float,
-    basis_size: int = 32,
+    basis_size: int = UNION_BASIS,
     grid: tuple[int, int] = QUAD_GRID,
 ) -> float:
     """Minimum (int_G |g|^p dA)^(1/p) over polynomials g of degree
@@ -664,14 +670,18 @@ def quotient_norm_general(
     product with the null-space basis is one FFT per ring of nodes
     (_RingMap), so no node x basis matrix is formed.  Raises
     NonConvergence if the gap is still open after NEWTON_MAX_ITER steps,
-    and ValueError unless 1 <= p < inf or if basis_size exceeds the angular
-    node count, past which a ring cannot keep the monomials orthogonal.
+    and ValueError unless 1 <= p < inf, if a constraint point lies outside
+    every ball of the domain, or if basis_size exceeds the angular node
+    count, past which a ring cannot keep the monomials orthogonal.
     """
     if not 1.0 <= p < np.inf:
         raise ValueError(f"general quotient norm requires finite p >= 1, got {p}")
     constraints = list(constraints)
     if not constraints:
         return 0.0
+    if isinstance(domain, PseudoDisk):
+        domain = Domain((domain,))
+    _check_inside([(domain, constraints)])
     if basis_size < len(constraints):
         raise ValueError("basis_size must be >= number of constraints")
     if basis_size > grid[1]:
@@ -816,28 +826,6 @@ def solve_p2(scheme: InterpolationScheme, targets: JetTargets) -> SolveReport:
     )
 
 
-def _cluster_factor(domain, points, orders):
-    """The m x m lower-triangular F with the p = 2 quotient norm
-    ||w|| = ||F^-1 w|| of a cluster on a union of balls, after the checks
-    every target of the cluster must pass (disk clusters are factored in
-    stacks by _cluster_factors).
-
-    With C the constraint matrix in quotient_norm_general's orthonormal
-    basis (max(UNION_BASIS, m) monomials, default grid), the norm is that
-    of the minimum-norm solution of C c = w, sqrt(w^H (C C^H)^-1 w); after
-    the feasibility test for every unit target (so C has full row rank),
-    F = R^H from the QR of C^H, so F F^H = C C^H.  C comes from the union's
-    R factor (_union_r): closed-form triangles of the rings a ball owns in
-    full and cached arc triangles of the rings it owns in part, R alone,
-    with no Q formed.
-    """
-    C = _basis_constraints(
-        domain, points, orders, max(UNION_BASIS, len(points)), QUAD_GRID, with_span=False
-    )[0]
-    _min_norm_coeffs(C, np.eye(len(C)))
-    return np.linalg.qr(C.conj().T, mode="r").conj().T
-
-
 def _cluster_factors(domains, points, orders):
     """[(idx, F)]: the clusters' p = 2 factors, ||w_k|| = ||F_k^-1 w_k||,
     F_k square and lower triangular, in groups: idx the cluster indices of
@@ -846,17 +834,24 @@ def _cluster_factors(domains, points, orders):
     The disk clusters that share an order list form one group, and F is
     the _kernel_factor stack of their Euclidean images: one Gram
     assembly, one condition gate and one Cholesky call per group.  Each
-    union of balls is a group of one (_cluster_factor).  As if the
-    clusters were factored one by one in order, the first that fails
-    raises: a failing disk stack is factored again one cluster at a time
-    to find its first, and only the unions before the first failing disk
-    are factored.
+    union of balls is a group of one: with C the constraint matrix in
+    quotient_norm_general's orthonormal basis (max(UNION_BASIS, m)
+    monomials, default grid, from _union_r's R factor alone), the norm is
+    that of the minimum-norm solution of C c = w, sqrt(w^H (C C^H)^-1 w);
+    after the feasibility test for every unit target (so C has full row
+    rank), F = R^H from the QR of C^H, so F F^H = C C^H.
+
+    The first failing cluster in cluster order raises.  A failing gate
+    names the position of its first failing matrix, so the first failing
+    disk is the least such cluster over the stacks; only the unions before
+    it are factored, in order, and the first of them that fails raises
+    InfeasibleConstraints instead.  No cluster is factored twice.
     """
     by_orders: dict[tuple, list[int]] = {}
     for i, dom in enumerate(domains):
         if dom.is_disk:
             by_orders.setdefault(tuple(orders[i]), []).append(i)
-    groups, failure = [], None
+    groups, failures = [], []
     for key, idx in by_orders.items():
         # scalar images, as pseudo_to_euclidean gives them: numpy's complex
         # product may round |c|^2 differently, and a stacked factor would
@@ -866,22 +861,17 @@ def _cluster_factors(domains, points, orders):
         z = np.array([points[i] for i in idx], dtype=complex)
         try:
             groups.append((np.array(idx), _kernel_factor(z, key, c, r)))
-            continue
-        except (SingularGram, np.linalg.LinAlgError) as exc:
-            first = (len(domains), exc)
-        for k, i in enumerate(idx):
-            try:
-                _kernel_factor(z[k], key, c[k], r[k])
-            except (SingularGram, np.linalg.LinAlgError) as exc:
-                first = (i, exc)
-                break
-        if failure is None or first[0] < failure[0]:
-            failure = first
-    stop = len(domains) if failure is None else failure[0]
-    groups += [(np.array([i]), _cluster_factor(domains[i], points[i], orders[i])[None])
-               for i in range(stop) if not domains[i].is_disk]
+        except SingularGram as exc:
+            failures.append((idx[exc.index], exc))
+    stop, failure = min(failures, key=lambda f: f[0], default=(len(domains), None))
+    for i in range(stop):
+        if not domains[i].is_disk:
+            C = _basis_constraints(domains[i], points[i], orders[i],
+                                   max(UNION_BASIS, len(points[i])), QUAD_GRID, with_span=False)[0]
+            _min_norm_coeffs(C, np.eye(len(C)))
+            groups.append((np.array([i]), np.linalg.qr(C.conj().T, mode="r").conj().T[None]))
     if failure is not None:
-        raise failure[1]
+        raise failure
     return groups
 
 

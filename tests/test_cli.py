@@ -108,6 +108,15 @@ def test_solver_commands_reject_bad_p_before_any_solve(tmp_path, monkeypatch, co
     assert code == 3
 
 
+@pytest.mark.parametrize("p", ["1.5", "2", "3"])
+def test_quotient_rejects_a_point_outside_its_domain(tmp_path, p):
+    # 0.9 lies outside D(0, 0.5): a precondition violation at every p
+    inp = write_doc(tmp_path, "in.json", {"points": [0.9], "values": [1.0],
+                                          "domain": {"center": 0.0, "radius": 0.5}})
+    code, _ = run_cli(tmp_path, ["quotient", inp, "--p", p])
+    assert code == 3
+
+
 def test_dbar_check(tmp_path):
     inp = write_doc(tmp_path, "in.json", {"g_constant": [1.0, 0.0]})
     code, rep = run_cli(tmp_path, ["dbar-check", inp, "--grid", "64x64"])

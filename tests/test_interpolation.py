@@ -589,10 +589,14 @@ def test_general_p_and_target_norm_reject_p_outside_one_to_inf(p):
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_target_norm_rejects_a_point_outside_its_cluster(p):
     # 0.5 in the cluster of 0.1 at eps = 0.05 gave 5.65 at p = 2 and
-    # 3.9e-30 at p = 3
+    # 3.9e-30 at p = 3; quotient_norm_general gave 9.8e-10 at p = 1.5 for
+    # 0.9 in D(0, 0.5)
     scheme = build_minimal_scheme(PointSequence([0.1]), 0.05)
     with pytest.raises(ValueError, match="outside"):
         target_norm(scheme, JetTargets([[JetConstraint(0.5, 0, 1.0)]]), p)
+    for dom in (PseudoDisk(0.0, 0.5), Domain((PseudoDisk(0.0, 0.5),))):
+        with pytest.raises(ValueError, match="outside"):
+            quotient_norm_general(dom, [JetConstraint(0.9, 0, 1.0)], p)
     # on a union a point need only lie in one of the balls
     union = build_minimal_scheme(PointSequence([0.0, 0.15]), 0.1)
     (dom,) = union.domains
@@ -600,9 +604,12 @@ def test_target_norm_rejects_a_point_outside_its_cluster(p):
     assert psi(0.0, inner) > 0.1
     ok = JetTargets([[JetConstraint(0.0, 0, 1.0), JetConstraint(inner, 0, -1.0)]])
     assert target_norm(union, ok, p) > 0.0
+    assert quotient_norm_general(dom, ok.per_cluster[0], p) > 0.0
     bad = JetTargets([[JetConstraint(0.0, 0, 1.0), JetConstraint(0.3j, 0, -1.0)]])
     with pytest.raises(ValueError, match="outside"):
         target_norm(union, bad, p)
+    with pytest.raises(ValueError, match="outside"):
+        quotient_norm_general(dom, bad.per_cluster[0], p)
 
 
 def test_solve_p2_single_value():
@@ -687,12 +694,17 @@ def test_gram_matches_scalar_kernel_loop():
 
 def _factors_one_by_one(scheme):
     """Each cluster's p = 2 factor, in cluster order: one np.linalg.cholesky
-    of a disk cluster's _gram after the condition gate, _cluster_factor on
-    a union; the first failing cluster raises."""
+    of a disk cluster's _gram after the condition gate; on a union, R^H
+    from the QR of C^H after the feasibility test of every unit target, C
+    its constraint matrix in the orthonormal basis; the first failing
+    cluster raises."""
     out = []
     for dom, (_, p, o) in zip(scheme.domains, interpolation._cluster_jets(scheme)):
         if not dom.is_disk:
-            out.append(interpolation._cluster_factor(dom, p, o))
+            C = interpolation._basis_constraints(dom, p, o, max(interpolation.UNION_BASIS, len(p)),
+                                                 interpolation.QUAD_GRID, with_span=False)[0]
+            interpolation._min_norm_coeffs(C, np.eye(len(C)))
+            out.append(np.linalg.qr(C.conj().T, mode="r").conj().T)
             continue
         e = pseudo_to_euclidean(dom.balls[0])
         G = interpolation._gram(p, o, e.center, e.radius)
@@ -778,6 +790,34 @@ def test_first_singular_disk_cluster_raises():
         if one_stack:  # the three (0, 0) clusters straight to the gate
             with pytest.raises(SingularGram, match=re.escape(f"{cond:.3e}")):
                 interpolation._kernel_factor(*stack(scheme))
+
+
+def test_cluster_factors_raise_the_first_failure_across_kinds(monkeypatch):
+    # hand-built clusters: a two-ball union whose two points 1e-12 apart
+    # make C lose rank, a disk whose points 1e-8 apart fail the gate, and
+    # a healthy disk in the same stack.  The first failing cluster in
+    # cluster order raises, and no union after a failing disk is factored
+    union = (Domain((PseudoDisk(0.0, 0.1), PseudoDisk(0.15, 0.1))), [0.0, 1e-12], [0, 0])
+    singular = (Domain((PseudoDisk(-0.5j, 0.1),)), [-0.5j, -0.5j + 1e-8], [0, 0])
+    healthy = (Domain((PseudoDisk(0.5, 0.05),)), [0.5, 0.52], [0, 0])
+
+    def factors(*clusters):
+        return interpolation._cluster_factors(*map(list, zip(*clusters)))
+
+    with pytest.raises(InfeasibleConstraints):
+        factors(union, singular, healthy)
+    with pytest.raises(InfeasibleConstraints):
+        factors(healthy, union)
+
+    def no_union(*args, **kwargs):
+        raise AssertionError("a union after the failing disk was factored")
+
+    monkeypatch.setattr(interpolation, "_basis_constraints", no_union)
+    for order in ((singular, union, healthy), (healthy, singular, union)):
+        with pytest.raises(SingularGram, match=re.escape("1.126e+14")) as exc:
+            factors(*order)
+        # the gate names the failing disk's position in its stack
+        assert exc.value.index == [c for c in order if c is not union].index(singular)
 
 
 def _jet_union_scheme():
