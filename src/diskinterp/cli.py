@@ -12,6 +12,7 @@ import dataclasses
 import json
 import math
 import sys
+from numbers import Integral
 
 import numpy as np
 
@@ -76,7 +77,8 @@ def _list(doc: dict, key: str) -> list:
 
 def parse_sequence(doc: dict):
     """Points (with multiplicity by repetition) and optional jet triples
-    from a JSON-shaped document."""
+    from a JSON-shaped document; a jet's point_index is an integer (not a
+    bool), and JetConstraint checks its order."""
     pts = []
     for i, entry in enumerate(_list(doc, "points")):
         try:
@@ -95,11 +97,13 @@ def parse_sequence(doc: dict):
         jets = []
         for j in _list(doc, "jets"):
             try:
-                idx = int(j["point_index"])
-                order = int(j.get("order", 0))
+                idx = j["point_index"]
+                order = j.get("order", 0)
                 value = _c(j["value"])
             except Exception as exc:
                 raise MalformedJet(f"bad jet entry {j!r}") from exc
+            if not isinstance(idx, Integral) or isinstance(idx, bool):
+                raise MalformedJet(f"jet point_index must be an integer, got {idx!r}")
             if not 0 <= idx < len(Z):
                 raise MalformedJet(f"jet point_index {idx} out of range")
             jets.append((idx, order, value))

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, perm
+from numbers import Integral
 
 import numpy as np
 
@@ -61,7 +62,8 @@ UNION_BASIS = 32
 
 @dataclass(frozen=True)
 class JetConstraint:
-    """Prescribe the order-th derivative value at a point."""
+    """Prescribe the order-th derivative value at a point; the order is an
+    integer >= 0 (a bool is not one)."""
 
     point: complex
     order: int
@@ -70,8 +72,8 @@ class JetConstraint:
     def __post_init__(self):
         object.__setattr__(self, "point", as_complex(self.point))
         object.__setattr__(self, "value", complex(self.value))
-        if int(self.order) < 0:
-            raise MalformedJet(f"derivative order must be >= 0, got {self.order}")
+        if not isinstance(self.order, Integral) or isinstance(self.order, bool) or self.order < 0:
+            raise MalformedJet(f"derivative order must be an integer >= 0, got {self.order!r}")
         object.__setattr__(self, "order", int(self.order))
 
 

@@ -5,7 +5,9 @@ domain of bounded pseudohyperbolic diameter to each cluster, and carries
 the four structural constants: diameter R, inner radius epsilon,
 separation delta, and cluster bound B.  The minimal construction takes
 the clusters to be the connected components of the union of epsilon-balls
-around the points, found by union-find on the ball-intersection graph.
+around the points: one label per point, found by whole-array
+hook-and-shortcut passes over the ball-intersection graph, from which
+the separation is also measured.
 """
 
 from __future__ import annotations
@@ -159,22 +161,6 @@ class AdmissibilityReport:
         return self.p1_ok and self.p2_ok and self.p3_ok and self.p4_ok
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i: int, j: int):
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[rj] = ri
-
-
 # Candidate pairs tested at once by _touching_pairs, and point pairs per
 # row block of _measured_separation: bounds their temporaries.
 PAIR_BLOCK = 2 ** 18
@@ -282,34 +268,41 @@ def _touching_pairs(centers: np.ndarray, radii: np.ndarray):
     return a, np.concatenate(out_b)
 
 
-def _components(Z: PointSequence, eps: float) -> list[tuple[int, ...]]:
-    """Connected components of the epsilon-ball intersection graph.
+def _components(z: np.ndarray, eps: float) -> np.ndarray:
+    """Per point, the least index of its connected component in the
+    epsilon-ball intersection graph.
 
     Two open psi-balls of radius eps intersect iff their centers are at
     psi-distance < hyp_sum(eps, eps); this tight threshold is the merge
     relation.  Repeated point values merge automatically (distance 0).
+
+    Hook and shortcut (Shiloach and Vishkin 1982), a few whole-array
+    passes: labels start as the indices; each pass hooks the larger label
+    of every touching pair with two labels onto the least label it meets,
+    then replaces each label by its label's label until nothing changes.
+    A label never exceeds its index, so the root of a component is its
+    least index.  Pairs that share a label keep it and are dropped.
     """
-    n = len(Z)
-    uf = _UnionFind(n)
-    for i, j in zip(*_touching_pairs(Z.array, np.full(n, float(eps)))):
-        uf.union(int(i), int(j))
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(uf.find(i), []).append(i)
-    comps = [tuple(sorted(g)) for g in groups.values()]
-    comps.sort(key=lambda c: c[0])
-    return comps
+    a, b = _touching_pairs(z, np.full(len(z), float(eps)))
+    label = np.arange(len(z))
+    while len(a):
+        la, lb = label[a], label[b]
+        keep = la != lb
+        a, b, la, lb = a[keep], b[keep], la[keep], lb[keep]
+        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+        while True:
+            up = label[label]
+            if (up == label).all():
+                break
+            label = up
+    return label
 
 
-def _measured_separation(Z: PointSequence, clusters) -> float:
-    """Minimum psi over pairs of points in distinct clusters (0 if one
-    cluster), in row blocks of at most PAIR_BLOCK pairs."""
-    if len(clusters) < 2:
+def _measured_separation(z: np.ndarray, label: np.ndarray) -> float:
+    """Minimum psi over pairs of points z with distinct labels (0 if one
+    label), in row blocks of at most PAIR_BLOCK pairs."""
+    if (label == label[0]).all():
         return 0.0
-    z = Z.array
-    label = np.empty(len(z), dtype=int)
-    for k, c in enumerate(clusters):
-        label[list(c.members)] = k
     rows = max(1, PAIR_BLOCK // len(z))
     best = np.inf
     for lo in range(0, len(z), rows):
@@ -321,15 +314,20 @@ def _measured_separation(Z: PointSequence, clusters) -> float:
 
 def _build(Z: PointSequence, eps: float, domain) -> InterpolationScheme:
     """The step both builders share.  The clusters are the connected
-    components of the union of eps-balls around the points of Z, and
-    domain(points) gives the domain of a cluster's points.  Raises
-    DiameterOverflow at the first domain whose diameter reaches
-    DIAMETER_CAP, before the separation is measured."""
+    components of the union of eps-balls around the points of Z, one
+    label per point (_components); a stable argsort of the labels gives
+    them in order of first member, members ascending, and the same labels
+    measure the separation.  domain(points) gives the domain of a
+    cluster's points.  Raises DiameterOverflow at the first domain whose
+    diameter reaches DIAMETER_CAP, before the separation is measured."""
     if len(Z) == 0:
         raise ValueError("point sequence must be nonempty")
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0,1), got {eps}")
-    clusters = tuple(Cluster(c) for c in _components(Z, eps))
+    label = _components(Z.array, eps)
+    order = np.argsort(label, kind="stable")
+    cut = np.flatnonzero(np.diff(label[order])) + 1
+    clusters = tuple(Cluster(tuple(m.tolist())) for m in np.split(order, cut))
     domains = []
     max_diam = 0.0
     for c in clusters:
@@ -345,7 +343,7 @@ def _build(Z: PointSequence, eps: float, domain) -> InterpolationScheme:
         domains=tuple(domains),
         diameter=max_diam,
         inner_radius=eps,
-        separation=_measured_separation(Z, clusters),
+        separation=_measured_separation(Z.array, label),
         cluster_bound=max(len(c) for c in clusters),
     )
 
@@ -575,10 +573,10 @@ def bounded_density(Z: PointSequence, R: float) -> int:
     that hold one common point.  _deepest finds it by sweeping their
     boundary circles; no centres are sampled.
     """
-    if len(Z) == 0:
-        return 0
     if not 0.0 < R < 1.0:
         raise ValueError(f"R must be in (0,1), got {R}")
+    if len(Z) == 0:
+        return 0
     points, counts = np.unique(Z.array, return_counts=True)
     return _deepest(points, np.full(len(points), float(R)),
                     np.arange(len(points)), counts)[0]
@@ -635,7 +633,7 @@ def check_admissibility(s: InterpolationScheme) -> AdmissibilityReport:
         t = psi_array(z[i], c[own])
         best[i] = ((r[own] - t) / (1.0 - r[own] * t)).max()
     meas_eps = float(best.min())
-    meas_delta = _measured_separation(s.sequence, s.clusters)
+    meas_delta = _measured_separation(z, owner)
     meas_B = max(len(c) for c in s.clusters)
     dens = bounded_density(s.sequence, min(max(meas_R, 1e-3), 0.999))
     p1 = meas_R <= s.diameter + tol

@@ -180,6 +180,27 @@ def test_malformed_document_is_a_parse_error(tmp_path, command, doc, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+_JETS = [{"point_index": 0, "order": 0, "value": 1.0}, {"point_index": 0, "order": 1, "value": 2.0},
+         {"point_index": 1, "value": 3.0}]
+
+
+@pytest.mark.parametrize("command", ["interpolate", "quotient"])
+@pytest.mark.parametrize("key, bad", [("order", 1.9), ("order", 1.0), ("order", "1"), ("order", True),
+                                      ("point_index", 1.7), ("point_index", "1"),
+                                      ("point_index", True)])
+def test_jet_index_or_order_that_is_not_an_integer_is_a_parse_error(tmp_path, command, key, bad, capsys):
+    # they were truncated: order 1.9 solved for f'(0) = 2, point_index 1.7 for f(0.5) = 3
+    extra = ["--epsilon", "0.1"] if command == "interpolate" else []
+    doc = {"points": [0.0, 0.5], "jets": _JETS, "domain": {"center": 0.0, "radius": 0.9}}
+    assert main([command, write_doc(tmp_path, "good.json", doc), "--out", str(tmp_path / "good.out.json"),
+                 *extra]) == 0
+    jets = [dict(j) for j in _JETS]
+    jets[2 if key == "point_index" else 1][key] = bad
+    inp = write_doc(tmp_path, "in.json", dict(doc, jets=jets))
+    assert main([command, inp, "--out", str(tmp_path / "x.json"), *extra]) == 2
+    assert "must be an integer" in capsys.readouterr().err
+
+
 def test_exit_code_precondition(tmp_path):
     # epsilon so large the merged component's diameter overflows
     inp = write_doc(tmp_path, "in.json", {"points": [-0.99, 0.99]})

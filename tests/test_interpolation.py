@@ -498,6 +498,11 @@ def test_general_p_on_disks_loads_no_scipy():
 def test_jet_targets_validation():
     with pytest.raises(MalformedJet):
         JetConstraint(0.1, -1, 1.0)
+    # orders that are not integers were truncated: 1.5 and True gave 1, "2" gave 2
+    for order in (1.5, 1.0, True, False, "2", None):
+        with pytest.raises(MalformedJet):
+            JetConstraint(0.1, order, 1.0)
+    assert JetConstraint(0.1, np.int64(2), 1.0).order == 2
     with pytest.raises(MalformedJet):
         JetTargets([[JetConstraint(0.1, 1, 1.0)]])  # order 1 without order 0
 

@@ -35,7 +35,8 @@ from diskinterp.schemes import _deepest
 
 
 def brute_force_components(points, eps):
-    """Transitive closure over the merge relation, independent of union-find."""
+    """Transitive closure over the merge relation by relabelling every pair
+    until none changes, independent of the library's label passes."""
     thr = hyp_sum(eps, eps)
     n = len(points)
     adj = [[psi(points[i], points[j]) < thr for j in range(n)] for i in range(n)]
@@ -58,6 +59,13 @@ def scheme_components(scheme):
     return sorted(c.members for c in scheme.clusters)
 
 
+def assert_first_member_order(scheme):
+    # _cluster_jets reads jet orders along this order
+    members = [c.members for c in scheme.clusters]
+    assert all(list(m) == sorted(m) for m in members)
+    assert [m[0] for m in members] == sorted(m[0] for m in members)
+
+
 def test_components_match_brute_force():
     rng = np.random.default_rng(21)
     for _ in range(30):
@@ -67,6 +75,31 @@ def test_components_match_brute_force():
         seq = PointSequence(pts)
         s = build_minimal_scheme(seq, eps)
         assert scheme_components(s) == brute_force_components(pts, eps)
+        assert_first_member_order(s)
+
+
+# 60 points on |z| = 0.5 whose neighbours are at psi 0.0698, just inside
+# hyp_sum(0.04, 0.04) = 0.0799, and next neighbours at 0.139 outside: one
+# component, which the scrambled order (7j mod 60) takes three label passes
+# to join and the others one.  The star's two outer points are one cluster
+# whose members enclose it.
+_RING = 0.5 * np.exp(2j * np.pi * np.arange(60) / 60)
+_SCRAMBLED = _RING[(7 * np.arange(60)) % 60]
+_STAR = np.concatenate([[-0.5], 0.3 + 0.06 * np.exp(2j * np.pi * np.arange(12) / 12), [0.3, -0.5 + 0.01j]])
+_CHAIN = np.repeat(0.06 * np.arange(10) - 0.3, 3)[(7 * np.arange(30)) % 30]
+
+
+@pytest.mark.parametrize("pts", [_RING, _RING[::-1], _SCRAMBLED, _STAR, _CHAIN,
+                                 np.concatenate([_CHAIN, _SCRAMBLED])],
+                         ids=["ring", "ring-reversed", "ring-scrambled", "star", "repeated-chain",
+                              "chain-and-ring"])
+def test_components_match_brute_force_on_multi_pass_sets(pts):
+    s = build_minimal_scheme(PointSequence(pts), 0.04)
+    assert scheme_components(s) == brute_force_components(pts, 0.04)
+    assert_first_member_order(s)
+    # the separation measured from the cluster-ordered points
+    rep = check_admissibility(s)
+    assert rep.all_ok and rep.measured_separation == s.separation
 
 
 def test_repeats_land_in_one_cluster():
@@ -266,6 +299,12 @@ def test_hyperbolic_lattice_inside_disk():
 
 
 def test_bounded_density_examples():
+    # R is checked before the empty sequence returns 0
+    for Z in (PointSequence([]), PointSequence([0.0])):
+        for R in (math.nan, 5.0, 0.0, 1.0):
+            with pytest.raises(ValueError):
+                bounded_density(Z, R)
+    assert bounded_density(PointSequence([]), 0.3) == 0
     assert bounded_density(PointSequence([0.0]), 0.3) == 1
     assert bounded_density(PointSequence([0.0, 0.5]), 0.3) == 2
     # widely separated points: each ball of radius 0.1 sees at most one
