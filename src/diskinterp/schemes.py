@@ -7,7 +7,9 @@ separation delta, and cluster bound B.  The minimal construction takes
 the clusters to be the connected components of the union of epsilon-balls
 around the points: one label per point, found by whole-array
 hook-and-shortcut passes over the ball-intersection graph, from which
-the separation is also measured.
+the separation is also measured.  The geometry of every cluster at once
+(domain diameters, minimax balls) comes from one segmented convex-hull
+pass over the cluster-ordered points.
 """
 
 from __future__ import annotations
@@ -61,9 +63,10 @@ class Cluster:
     members: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.members:
+        members = tuple(int(i) for i in self.members)
+        if not members:
             raise ValueError("cluster must be nonempty")
-        object.__setattr__(self, "members", tuple(int(i) for i in self.members))
+        object.__setattr__(self, "members", members)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -97,30 +100,10 @@ class Domain:
         return any(b.contains(z) for b in self.balls)
 
     def diameter(self) -> float:
-        """Exact pseudohyperbolic diameter (a supremum) of the union.
-
-        psi is tanh of an additive geodesic distance, so points of the balls
-        about c_i and c_j reach hyp_sum(psi(c_i, c_j), hyp_sum(r_i, r_j))
-        apart and no further; i = j gives the diameter of one ball, and one
-        ball is taken in closed form.
-
-        With equal radii only the farthest pair of centres matters.  The
-        closed psi-ball about c_i through its farthest centre holds every
-        centre and is a Euclidean disk, and a centre on its edge is no
-        convex combination of the others.  So both centres of a farthest
-        pair are vertices of the centres' Euclidean convex hull, and the
-        pairs are taken over the hull points (_hull) alone.  Mixed radii
-        take every pair.
-        """
-        r = self.radii
-        if len(r) == 1:
-            return float((r[0] + r[0]) / (1.0 + r[0] * r[0]))
-        c = self.centers
-        if (r == r[0]).all():
-            c, r = c[_hull(c)], r[:1]
-        s = (r[:, None] + r[None, :]) / (1.0 + r[:, None] * r[None, :])
-        d = psi_matrix(c, c)
-        return float(((d + s) / (1.0 + d * s)).max())
+        """Exact pseudohyperbolic diameter (a supremum) of the union: the
+        one-segment call of _diameters, which check_admissibility and the
+        builders make once over the balls of every domain."""
+        return float(_diameters(self.centers, self.radii, np.zeros(len(self.balls), dtype=int))[0])
 
 
 @dataclass(frozen=True)
@@ -170,10 +153,17 @@ SWEEP_BLOCK = 2 ** 17
 SWEEP_CIRCLES = 2 ** 11
 
 
-def _hull(points: np.ndarray) -> np.ndarray:
-    """Sorted indices of the points kept as vertices of their Euclidean
-    convex hull: every true vertex, and any point within rounding of the
-    hull's edge.
+def _firsts(seg: np.ndarray) -> np.ndarray:
+    """Positions where a run of equal entries of seg begins."""
+    return np.flatnonzero(np.concatenate([[True], seg[1:] != seg[:-1]]))
+
+
+def _hull(points: np.ndarray, seg: np.ndarray) -> np.ndarray:
+    """Sorted indices of the points kept as vertices of the Euclidean
+    convex hull of their segment: every true vertex, and any point within
+    rounding of the hull's edge.  seg gives each point's segment, one
+    nondecreasing id per point; every segment is its own point set, taken
+    as if alone, and one of fewer than 3 points is kept whole.
 
     A closed psi-ball is a Euclidean disk, and a point on the edge of a
     disk is no convex combination of other points of the disk.  So within
@@ -181,53 +171,130 @@ def _hull(points: np.ndarray) -> np.ndarray:
     vertex, and so are both points of a farthest pair.
 
     A point is dropped only when it lies deeper than tau inside the hull,
-    so that no rounding can drop a true vertex.  With m = min(1 - |z|^2),
-    tau = 64 eps / m^2 also keeps every point that rounding of psi could
-    make a farthest one.  psi = tanh(d/2) for the hyperbolic metric
-    2|dz|/(1 - |z|^2), at least twice the Euclidean one, and
-    1 - psi^2 >= m^2 / 4 for every pair; so from a depth of tau, psi to any
-    point falls at least tau m^2 / 4 = 16 eps short of its maximum over
+    so that no rounding can drop a true vertex.  With m = min(1 - |z|^2)
+    over the segment, tau = 64 eps / m^2 also keeps every point that
+    rounding of psi could make a farthest one.  psi = tanh(d/2) for the
+    hyperbolic metric 2|dz|/(1 - |z|^2), at least twice the Euclidean one,
+    and 1 - psi^2 >= m^2 / 4 for every pair; so from a depth of tau, psi to
+    any point falls at least tau m^2 / 4 = 16 eps short of its maximum over
     the hull.  Extra points never change a maximum.
 
-    First the points deeper than tau inside the polygon of the extreme
-    points in eight directions are dropped (Akl and Toussaint 1978), all at
-    once.  The rest go through Andrew's monotone chain (1979), sorted by
-    (Re z, Im z), a lower and an upper pass; a pass drops its last point a
-    between o and the new point b when a - o and b - o have a cross product
-    below -tau (|a - o|_1 + |b - o|_1).  Rounding moves each cross product
-    by a few eps times that sum.
+    First the points deeper than tau inside the polygon of their segment's
+    extreme points in eight directions (the first in the segment at each)
+    are dropped (Akl and Toussaint 1978), every segment at once.  The rest
+    go through Andrew's monotone chain (1979), sorted by (segment, Re z,
+    Im z), a lower and an upper pass, each one loop that starts a new
+    chain at every segment boundary; a pass drops its last point a between
+    o and the new point b when a - o and b - o have a cross product below
+    -tau (|a - o|_1 + |b - o|_1).  Rounding moves each cross product by a
+    few eps times that sum.
     """
-    n = len(points)
-    if n < 3:
-        return np.arange(n)
-    m = float((1.0 - (points * points.conjugate()).real).min())
+    start = _firsts(seg)
+    count = np.diff(np.append(start, len(seg)))
+    if (count < 3).all():
+        return np.arange(len(seg))
+    local = np.repeat(np.arange(len(start)), count)
+    small = (count < 3)[local]
+    m = np.minimum.reduceat(1.0 - (points * points.conjugate()).real, start)
     tau = 64.0 * np.finfo(float).eps / (m * m)
-    # counterclockwise: the extremes at 0, 45, ..., 315 degrees
+    # counterclockwise: the extremes at 0, 45, ..., 315 degrees, each the
+    # first of its segment to reach it (a minimum is a maximum negated)
     x, y = points.real, points.imag
-    p = points[[x.argmax(), (x + y).argmax(), y.argmax(), (y - x).argmax(),
-                x.argmin(), (x + y).argmin(), y.argmin(), (x - y).argmax()]]
-    e = np.roll(p, -1) - p
-    p, e = p[e != 0], e[e != 0]
-    w = points[:, None] - p
-    # Im(conj(e) w) is the cross product of e and w, > 0 inside; equal
-    # points leave no edge and nothing inside
-    deep = (e.conjugate() * w).imag > tau * (abs(e.real) + abs(e.imag) + abs(w.real) + abs(w.imag))
-    rest = np.flatnonzero(~deep.all(axis=1) | (len(e) == 0))
-    order = rest[np.lexsort((y[rest], x[rest]))]
-    x, y = x[order].tolist(), y[order].tolist()
+    v = np.stack([x, x + y, y, y - x, -x, -(x + y), -y, x - y], axis=1)
+    hit = v == np.maximum.reduceat(v, start)[local]
+    first = np.minimum.reduceat(np.where(hit, np.arange(len(seg))[:, None], len(seg)), start)
+    p = points[first]
+    e = (np.roll(p, -1, axis=1) - p)[local]
+    w = points[:, None] - p[local]
+    # Im(conj(e) w) is the cross product of e and w, > 0 inside; a zero
+    # edge (equal extremes) holds everything inside, and a segment of equal
+    # points has no edge and nothing inside
+    deep = (e.conjugate() * w).imag > tau[local, None] * (
+        abs(e.real) + abs(e.imag) + abs(w.real) + abs(w.imag))
+    deep = (deep | (e == 0)).all(axis=1) & (e != 0).any(axis=1)
+    rest = np.flatnonzero(~deep | small)
+    order = rest[np.lexsort((y[rest], x[rest], seg[rest]))]
+    x, y, s = x[order].tolist(), y[order].tolist(), local[order].tolist()
+    t = tau[local[order]].tolist()
     kept = []
     for sweep in (range(len(order)), range(len(order) - 1, -1, -1)):
         chain = []
         for b in sweep:
+            if chain and s[chain[-1]] != s[b]:
+                kept += chain
+                chain = []
             while len(chain) > 1:
                 o, a = chain[-2], chain[-1]
                 ax, ay, bx, by = x[a] - x[o], y[a] - y[o], x[b] - x[o], y[b] - y[o]
-                if ax * by - ay * bx >= -tau * (abs(ax) + abs(ay) + abs(bx) + abs(by)):
+                if ax * by - ay * bx >= -t[b] * (abs(ax) + abs(ay) + abs(bx) + abs(by)):
                     break
                 chain.pop()
             chain.append(b)
         kept += chain
     return np.unique(order[kept])
+
+
+def _segment_max(rows: np.ndarray, cols: np.ndarray, seg: np.ndarray, value) -> np.ndarray:
+    """Per entry i of rows, the largest value(a, b) over the pairs
+    a = rows[i], b an entry of cols in the same segment (seg[cols]
+    nondecreasing, and every row's segment holding some entry of cols).
+
+    value maps index arrays to floats; its pairs come in blocks of at most
+    PAIR_BLOCK (one row may exceed it), built as in _touching_pairs.
+    """
+    sc = seg[cols]
+    lo = np.searchsorted(sc, seg[rows], side="left")
+    cnt = np.searchsorted(sc, seg[rows], side="right") - lo
+    cum = np.concatenate([[0], np.cumsum(cnt)])
+    out = np.empty(len(rows))
+    p = 0
+    while p < len(rows):
+        q = max(p + 1, int(np.searchsorted(cum, cum[p] + PAIR_BLOCK, side="right")) - 1)
+        k = cnt[p:q]
+        off = cum[p:q] - cum[p]
+        a = np.repeat(rows[p:q], k)
+        b = cols[np.arange(len(a)) + np.repeat(lo[p:q] - off, k)]
+        out[p:q] = np.maximum.reduceat(value(a, b), off)
+        p = q
+    return out
+
+
+def _diameters(centers: np.ndarray, radii: np.ndarray, seg: np.ndarray) -> np.ndarray:
+    """Exact pseudohyperbolic diameter (a supremum) of each segment's union
+    of balls D(centers[i], radii[i]), in segment order; seg gives each
+    ball's segment, one nondecreasing id per ball.
+
+    psi is tanh of an additive geodesic distance, so points of the balls
+    about c_i and c_j reach hyp_sum(psi(c_i, c_j), hyp_sum(r_i, r_j))
+    apart and no further; i = j gives the diameter of one ball (psi is
+    exactly 0 there, so the pair gives the closed form's float), and when
+    every segment is one ball the closed form is all that is taken.
+
+    With equal radii only the farthest pair of centres matters.  The
+    closed psi-ball about c_i through its farthest centre holds every
+    centre and is a Euclidean disk, and a centre on its edge is no convex
+    combination of the others.  So both centres of a farthest pair are
+    vertices of the centres' Euclidean convex hull, and the pairs are taken
+    over the hull points alone, found for every such segment by one _hull
+    call.  Mixed radii take every pair.  Each segment's largest value is
+    taken over the same floats as its square matrix of pairs.
+    """
+    first = _firsts(seg)
+    r0 = radii[first]
+    if len(first) == len(seg):
+        return (r0 + r0) / (1.0 + r0 * r0)
+    keep = np.logical_or.reduceat(radii != r0[seg], first)[seg]
+    even = np.flatnonzero(~keep)
+    if len(even):
+        keep[even[_hull(centers[even], seg[even])]] = True
+    pick = np.flatnonzero(keep)
+
+    def value(a, b):
+        d, ra, rb = psi_array(centers[a], centers[b]), radii[a], radii[b]
+        s = (ra + rb) / (1.0 + ra * rb)
+        return (d + s) / (1.0 + d * s)
+
+    return np.maximum.reduceat(_segment_max(pick, pick, seg, value), _firsts(seg[pick]))
 
 
 def _touching_pairs(centers: np.ndarray, radii: np.ndarray):
@@ -312,14 +379,19 @@ def _measured_separation(z: np.ndarray, label: np.ndarray) -> float:
     return best
 
 
-def _build(Z: PointSequence, eps: float, domain) -> InterpolationScheme:
+def _build(Z: PointSequence, eps: float, maximal: bool) -> InterpolationScheme:
     """The step both builders share.  The clusters are the connected
     components of the union of eps-balls around the points of Z, one
     label per point (_components); a stable argsort of the labels gives
     them in order of first member, members ascending, and the same labels
-    measure the separation.  domain(points) gives the domain of a
-    cluster's points.  Raises DiameterOverflow at the first domain whose
-    diameter reaches DIAMETER_CAP, before the separation is measured."""
+    measure the separation.  The domains come from the cluster-ordered
+    points, every cluster at once: one ball per distinct point value, in
+    order of first appearance (repeats add nothing to the union), or with
+    maximal one ball per cluster about its minimax member (_minimax).  One
+    _diameters call measures them all.  Raises DiameterOverflow for the
+    first cluster whose maximal-domain radius or domain diameter reaches
+    DIAMETER_CAP (the radius named first), before the separation is
+    measured."""
     if len(Z) == 0:
         raise ValueError("point sequence must be nonempty")
     if not 0.0 < eps < 1.0:
@@ -328,24 +400,57 @@ def _build(Z: PointSequence, eps: float, domain) -> InterpolationScheme:
     order = np.argsort(label, kind="stable")
     cut = np.flatnonzero(np.diff(label[order])) + 1
     clusters = tuple(Cluster(tuple(m.tolist())) for m in np.split(order, cut))
-    domains = []
-    max_diam = 0.0
-    for c in clusters:
-        dom = domain(Z.array[list(c.members)])
-        diam = dom.diameter()
-        if diam >= DIAMETER_CAP:
-            raise DiameterOverflow(f"domain diameter {diam} >= {DIAMETER_CAP}; reduce eps")
-        max_diam = max(max_diam, diam)
-        domains.append(dom)
+    z = Z.array[order]
+    seg = np.searchsorted(cut, np.arange(len(z)), side="right")
+    if maximal:
+        pick, radii = _minimax(z, seg)
+        radii = radii + eps
+        seg = np.arange(len(clusters))
+    else:
+        # stable: the first of each run of equal (cluster, value) keys is
+        # the value's first appearance
+        key = np.lexsort((z.imag, z.real, seg))
+        zk, sk = z[key], seg[key]
+        pick = np.sort(key[np.concatenate([[True], (zk[1:] != zk[:-1]) | (sk[1:] != sk[:-1])])])
+        seg = seg[pick]
+        radii = np.full(len(pick), float(eps))
+    centers = z[pick]
+    diam = _diameters(centers, radii, seg)
+    over = diam >= DIAMETER_CAP
+    if maximal:
+        over |= radii >= DIAMETER_CAP
+    if over.any():
+        k = int(np.argmax(over))
+        if maximal and radii[k] >= DIAMETER_CAP:
+            raise DiameterOverflow(f"maximal-domain radius {float(radii[k])} >= {DIAMETER_CAP}")
+        raise DiameterOverflow(f"domain diameter {float(diam[k])} >= {DIAMETER_CAP}; reduce eps")
+    balls = [PseudoDisk(c, r) for c, r in zip(centers.tolist(), radii.tolist())]
+    bounds = np.searchsorted(seg, np.arange(len(clusters) + 1)).tolist()
     return InterpolationScheme(
         sequence=Z,
         clusters=clusters,
-        domains=tuple(domains),
-        diameter=max_diam,
+        domains=tuple(Domain(tuple(balls[i:j])) for i, j in zip(bounds, bounds[1:])),
+        diameter=float(diam.max()),
         inner_radius=eps,
         separation=_measured_separation(Z.array, label),
         cluster_bound=max(len(c) for c in clusters),
     )
+
+
+def _minimax(z: np.ndarray, seg: np.ndarray):
+    """Per segment of the points z (seg as for _diameters, its ids
+    0, 1, ...): the position of the member minimizing the maximum psi to
+    the others, ties to the lowest index, and that minimax value.
+
+    A member's farthest member is a vertex of its segment's Euclidean
+    convex hull (see _hull), so each member's largest psi is taken over the
+    hull points alone, the same floats as its row of the segment's square
+    matrix."""
+    worst = _segment_max(np.arange(len(z)), _hull(z, seg), seg,
+                         lambda a, b: psi_array(z[a], z[b]))
+    least = np.minimum.reduceat(worst, _firsts(seg))
+    tie = np.flatnonzero(worst == least[seg])
+    return tie[_firsts(seg[tie])], least
 
 
 def build_minimal_scheme(Z: PointSequence, eps: float) -> InterpolationScheme:
@@ -355,9 +460,7 @@ def build_minimal_scheme(Z: PointSequence, eps: float) -> InterpolationScheme:
     Raises DiameterOverflow if any component has pseudohyperbolic diameter
     >= 1 - 1e-9 (eps too large for this sequence).
     """
-    # one ball per distinct point value, in order of first appearance;
-    # repeats add nothing to the union
-    return _build(Z, eps, lambda pts: Domain(tuple(PseudoDisk(v, eps) for v in dict.fromkeys(pts))))
+    return _build(Z, eps, maximal=False)
 
 
 def build_maximal_scheme(Z: PointSequence, eps: float) -> InterpolationScheme:
@@ -366,25 +469,12 @@ def build_maximal_scheme(Z: PointSequence, eps: float) -> InterpolationScheme:
     maximum psi to the others (ties to the lowest index), radius = that
     minimax value + eps.
 
-    A member's farthest member is a vertex of the cluster's Euclidean
-    convex hull (see _hull), so each member's largest psi is taken over the
-    h hull points alone: an m x h matrix, with the same floats as the
-    m x m one.
-
     Raises DiameterOverflow if a ball's radius or diameter reaches
     1 - 1e-9.  The ball holds its cluster's eps-union (the radius is at
     least hyp_sum(minimax, eps)), so this happens wherever the minimal
     scheme overflows, and also where only the ball does.
     """
-    def ball(pts):
-        worst = psi_matrix(pts, pts[_hull(pts)]).max(axis=1)
-        best = int(np.argmin(worst))  # argmin takes the first (lowest index) tie
-        radius = float(worst[best]) + eps
-        if radius >= DIAMETER_CAP:
-            raise DiameterOverflow(f"maximal-domain radius {radius} >= {DIAMETER_CAP}")
-        return Domain((PseudoDisk(pts[best], radius),))
-
-    return _build(Z, eps, ball)
+    return _build(Z, eps, maximal=True)
 
 
 def auto_epsilon(Z: PointSequence, r0: float) -> float:
@@ -578,6 +668,11 @@ def bounded_density(Z: PointSequence, R: float) -> int:
     if len(Z) == 0:
         return 0
     points, counts = np.unique(Z.array, return_counts=True)
+    # a ball D(w, R) holding every point puts w in all n balls: no depth
+    # exceeds n, so none is swept
+    for w in (0.0, points[0]):
+        if (psi_array(w, points) < R).all():
+            return len(Z)
     return _deepest(points, np.full(len(points), float(R)),
                     np.arange(len(points)), counts)[0]
 
@@ -596,7 +691,11 @@ def check_admissibility(s: InterpolationScheme) -> AdmissibilityReport:
     """Measure R, eps, delta, B from the scheme data and compare against the
     declared constants.  Failures are reported, never raised.
 
-    R is the largest domain diameter (Domain.diameter).
+    R is the largest domain diameter, every domain's measured by one
+    _diameters call over the concatenated balls (Domain.diameter is its
+    one-domain call).  bounded_density at R counts every point when one
+    ball of radius R holds them all, as on a one-component scheme, and
+    sweeps no pair then.
 
     Inner radius: a cluster point at psi-distance t from the centre of a
     ball of radius r sees (r - t)/(1 - r t) of room to that ball's edge.
@@ -611,12 +710,13 @@ def check_admissibility(s: InterpolationScheme) -> AdmissibilityReport:
     stays a lower bound.
     """
     tol = 1e-9
-    meas_R = max(d.diameter() for d in s.domains)
     z = s.sequence.array[np.concatenate([c.members for c in s.clusters])]
     owner = np.repeat(np.arange(len(s.clusters)), [len(c) for c in s.clusters])
-    c = np.concatenate([d.centers for d in s.domains])
-    r = np.concatenate([d.radii for d in s.domains])
+    balls = [b for d in s.domains for b in d.balls]
+    c = np.array([b.center for b in balls], dtype=complex)
+    r = np.array([b.radius for b in balls])
     label = np.repeat(np.arange(len(s.domains)), [len(d.balls) for d in s.domains])
+    meas_R = float(_diameters(c, r, label).max())
     # radius-0 points meet no other point: a pair whose lower index is
     # a point is a point and a ball holding it
     a, b = _touching_pairs(np.concatenate([z, c]), np.concatenate([np.zeros(len(z)), r]))

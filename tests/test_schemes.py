@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -31,6 +32,7 @@ from diskinterp.schemes import (
     hyperbolic_lattice,
     overlap_bound,
 )
+from diskinterp import schemes
 from diskinterp.schemes import _deepest
 
 
@@ -627,6 +629,146 @@ def test_maximal_balls_are_the_dense_minimax():
     assert build_maximal_scheme(PointSequence(square), 0.015).domains[0].balls[0].center == square[0]
 
 
+def dense_minimax(s, eps):
+    """Per cluster, the member with the least largest psi to all members
+    (the first on a tie) and that value + eps, from square matrices."""
+    balls = []
+    for k in range(len(s.clusters)):
+        pts = s.cluster_points(k)
+        worst = psi_matrix(pts, pts).max(axis=1)
+        best = int(np.argmin(worst))
+        balls.append((pts[best], float(worst[best]) + eps))
+    return balls
+
+
+# a cluster about t e^(i angle) of 1-6 members, scattered or on one
+# Euclidean line (collinear to rounding), its first member given again
+# `repeats` times
+cluster_specs = st.tuples(
+    st.floats(0.0, 0.9), st.floats(0.0, 2.0 * np.pi), st.integers(1, 6), st.booleans(),
+    st.integers(0, 2)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(cluster_specs, min_size=1, max_size=30), st.integers(0, 2 ** 32 - 1),
+       st.floats(1e-3, 0.05))
+def test_geometry_of_every_cluster_is_the_dense_one(specs, seed, eps):
+    # the builders measure every cluster at once; each domain and ball
+    # must equal its own dense reference exactly
+    rng = np.random.default_rng(seed)
+    pts = []
+    for t, angle, k, line, repeats in specs:
+        c = t * np.exp(1j * angle)
+        step = eps * (1.0 - t * t)
+        if line:
+            members = c + step * rng.uniform(-1.0, 1.0, k) * np.exp(1j * rng.uniform(0.0, np.pi))
+        else:
+            members = c + step * (rng.normal(size=k) + 1j * rng.normal(size=k))
+        pts.extend(members)
+        pts.extend([members[0]] * repeats)
+    Z = PointSequence(np.array(pts)[rng.permutation(len(pts))])
+    s = build_minimal_scheme(Z, eps)
+    m = build_maximal_scheme(Z, eps)
+    for scheme in (s, m):
+        dense = [pairwise_diameter(d) for d in scheme.domains]
+        assert [d.diameter() for d in scheme.domains] == dense
+        assert scheme.diameter == max(dense) == check_admissibility(scheme).measured_diameter
+    assert [(d.balls[0].center, d.balls[0].radius) for d in m.domains] == dense_minimax(m, eps)
+    # the minimal domains' balls again, with radii that differ within a
+    # domain: every pair is taken
+    mixed = InterpolationScheme(
+        sequence=Z, clusters=s.clusters,
+        domains=tuple(Domain(tuple(PseudoDisk(b.center, eps * rng.uniform(0.5, 2.0)) for b in d.balls))
+                      for d in s.domains),
+        diameter=s.diameter, inner_radius=eps, separation=s.separation,
+        cluster_bound=s.cluster_bound,
+    )
+    dense = [pairwise_diameter(d) for d in mixed.domains]
+    assert [d.diameter() for d in mixed.domains] == dense
+    assert check_admissibility(mixed).measured_diameter == max(dense)
+
+
+def test_a_thousand_clusters_take_one_hull_pass(monkeypatch):
+    # 1,200 tight triples, one cluster each: one _hull call per build and
+    # per check, whatever the number of clusters
+    k = np.arange(1200)
+    centres = 0.9 * np.sqrt((k + 0.5) / 1200) * np.exp(2.399963j * k)
+    Z = PointSequence((centres[:, None] + 1e-4 * np.array([0.0, 1.0, 1j])).ravel())
+    calls = []
+
+    def hull(points, seg):
+        calls.append(len(points))
+        return hull.wrapped(points, seg)
+
+    hull.wrapped = schemes._hull
+    monkeypatch.setattr(schemes, "_hull", hull)
+    s = build_minimal_scheme(Z, 1e-3)
+    assert len(s.clusters) == 1200 and calls == [3600]
+    m = build_maximal_scheme(Z, 1e-3)
+    assert len(m.clusters) == 1200 and calls == [3600, 3600]
+    check_admissibility(s)
+    assert calls == [3600, 3600, 3600]
+
+
+def test_bounded_density_one_ball_exit(monkeypatch):
+    rng = np.random.default_rng(4)
+    inner = 0.5 * np.sqrt(rng.uniform(size=60)) * np.exp(2j * np.pi * rng.uniform(size=60))
+    near = moebius_many(0.8j, 0.1 * inner)
+    cases = []
+    for z, R in ((inner, 0.6), (near, 0.25), (inner, 0.3), (near, 0.05), (near, 0.03)):
+        z = np.concatenate([z, z[:7]])
+        points, counts = np.unique(z, return_counts=True)
+        held = bool((np.abs(points) < R).all() or (psi_matrix(points[:1], points) < R).all())
+        sweep = _deepest(points, np.full(len(points), R), np.arange(len(points)), counts)[0]
+        cases.append((PointSequence(z), R, held, sweep))
+    # D(0, 0.6) holds every inner point and D(z0, 0.25) every near one,
+    # z0 the first distinct point; at 0.05 neither holds every near point,
+    # but some other ball does
+    assert [(held, sweep) for _, _, held, sweep in cases] == [
+        (True, 67), (True, 67), (False, 25), (False, 67), (False, 27)]
+    assert (np.abs(near) >= 0.25).any()
+
+    def no_pairs(*args):
+        raise AssertionError("_touching_pairs called")
+
+    monkeypatch.setattr(schemes, "_touching_pairs", no_pairs)
+    for Z, R, _, sweep in cases[:2]:
+        assert bounded_density(Z, R) == sweep == len(Z)
+    monkeypatch.undo()
+    for Z, R, _, sweep in cases[2:]:
+        assert bounded_density(Z, R) == sweep
+
+
+def test_diameter_overflow_names_the_first_cluster():
+    # minimal: two pairs along the real axis (artanh psi steps 4.9 and 4.8,
+    # 6.1 apart) at eps = tanh 3, each overflowing, the first in cluster
+    # order named
+    eps = math.tanh(3.0)
+    z = np.tanh([-7.9, -3.0, 3.1, 7.9])
+    for pts in (z, z[::-1]):
+        first = Domain(tuple(PseudoDisk(c, eps) for c in pts[:2]))
+        want = f"domain diameter {pairwise_diameter(first)} >= {DIAMETER_CAP}; reduce eps"
+        with pytest.raises(DiameterOverflow, match=re.escape(want)):
+            build_minimal_scheme(PointSequence(pts), eps)
+        radius = float(psi_matrix(pts[:2], pts[:2]).max(axis=1).min()) + eps
+        with pytest.raises(DiameterOverflow, match=re.escape(f"maximal-domain radius {radius} >= {DIAMETER_CAP}")):
+            build_maximal_scheme(PointSequence(pts), eps)
+    # maximal: pairs at psi 0.6 (a ball of radius 0.99996, whose diameter
+    # overflows) and 0.61 (a radius past 1), far apart
+    eps = 0.39996
+    a = [-0.9, moebius(-0.9, 0.6)]
+    b = [0.9, moebius(0.9, -0.61)]
+    radius_a, radius_b = (float(psi_matrix(p, p).max(axis=1).min()) + eps for p in (a, b))
+    assert radius_a < DIAMETER_CAP <= 2 * radius_a / (1 + radius_a ** 2) and radius_b > 1.0
+    with pytest.raises(DiameterOverflow, match=re.escape(
+            f"domain diameter {(radius_a + radius_a) / (1.0 + radius_a * radius_a)} >= {DIAMETER_CAP}")):
+        build_maximal_scheme(PointSequence(a + b), eps)
+    with pytest.raises(DiameterOverflow, match=re.escape(f"maximal-domain radius {radius_b} >= {DIAMETER_CAP}")):
+        build_maximal_scheme(PointSequence(b + a), eps)
+    assert build_minimal_scheme(PointSequence(a + b), eps).diameter < DIAMETER_CAP
+
+
 def test_scheme_geometry_forms_no_square_matrix():
     # one component of 1,500 balls, where a single 1,500 x 1,500 complex
     # matrix takes 36 MB; the check's peak is bounded_density's pair list
@@ -721,6 +863,13 @@ def test_partition_validation():
             separation=0.0,
             cluster_bound=2,
         )
+
+
+def test_cluster_members_from_an_array():
+    assert Cluster(np.array([1, 2])).members == (1, 2)
+    assert Cluster(np.array([3])).members == (3,)
+    with pytest.raises(ValueError, match="cluster must be nonempty"):
+        Cluster(np.array([], dtype=int))
 
 
 def test_clusters_covariant_under_rotation():
