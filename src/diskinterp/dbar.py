@@ -17,6 +17,7 @@ import numpy as np
 from .density import k_weight_many, local_means
 from .errors import (
     GridTooCoarse,
+    GridTooLarge,
     PositiveLaplacian,
     QuadratureDivergence,
     StencilOutOfDomain,
@@ -29,6 +30,7 @@ from .grids import (
     gauss_laguerre,
     midpoint_radii,
     ring_angles,
+    ring_blocks,
 )
 from .reps import rep_as_callable
 from .schemes import PointSequence
@@ -191,6 +193,11 @@ def harmonic_majorant_gap(
     return green_potential(laplacian_values, z) - c_cal * lap_sup
 
 
+# largest ring count of cauchy_transform.  At its peak it holds three
+# n_r x n_r float arrays (x, x^n and x^K, then T_0 beside x^n and x^K) and
+# in its loop a boolean mask of that shape: about 25 n_r^2 bytes, which is
+# 1.6 GiB at 8192 rings, a fifth of an 8 GB machine
+CAUCHY_MAX_RINGS = 8192
 # consecutive powers e of the ring ratio that one triangle T_e serves in
 # cauchy_transform: each of its two real matrix products per block has
 # 2 CAUCHY_BLOCK right-hand columns
@@ -258,9 +265,19 @@ def cauchy_transform(g: GridFunction) -> GridFunction:
     from repeated squaring.  S2(z) = sum_w area_w/(w - z) is S1 for g = 1,
     whose only nonzero mode is m = 0: the row sums of T_{n-1}, the column
     sums of -T_1 and the self ring.
+
+    Working memory: three n_r x n_r float arrays at the peak, and two
+    complex grids (the spectra, then the result).  Raises GridTooLarge,
+    before it allocates, above CAUCHY_MAX_RINGS rings.
     """
     spec = g.spec
     n_r, n = spec.n_radial, spec.n_angular
+    if n_r > CAUCHY_MAX_RINGS:
+        raise GridTooLarge(
+            f"cauchy_transform holds n_r x n_r arrays of about 25 n_r^2 bytes: "
+            f"{n_r} rings would need {25 * n_r * n_r / 2 ** 30:.1f} GiB; "
+            f"at most {CAUCHY_MAX_RINGS} rings are allowed"
+        )
     radii = spec.radii
     dr = spec.max_radius / n_r
     dt = 2.0 * np.pi / n
@@ -322,36 +339,63 @@ def cauchy_transform(g: GridFunction) -> GridFunction:
     w = vals * phase
     w *= (radii + s2 / np.pi)[:, None]
     u += w
-    return GridFunction(spec, u)
+    return GridFunction._adopt(spec, u)
+
+
+def _dbar_rings(u: GridFunction, lo: int, hi: int) -> np.ndarray:
+    """d-bar u on rings lo:hi by centred differences in polar form,
+    d-bar = (e^{i theta}/2)(d_r + (i/r) d_theta), as a fresh complex array.
+    Ring 0 and the last ring take the radial difference of their interior
+    neighbour.  Every difference is of two slices of u; no node grid is
+    formed."""
+    spec = u.spec
+    vals = u.values
+    n_r = spec.n_radial
+    dr = spec.max_radius / n_r
+    dt = 2.0 * np.pi / spec.n_angular
+    # rings a..b-1 are the radial centres of rings lo..hi-1
+    a = min(max(lo, 1), n_r - 2)
+    b = max(min(hi, n_r - 1), a + 1)
+    du = np.subtract(vals[a + 1:b + 1], vals[a - 1:b - 1])
+    if lo < a or hi > b:
+        du = du[np.clip(np.arange(lo, hi), a, b - 1) - a]
+    # numpy divides a complex number by c + 0i as both parts times 1/c: the
+    # same product on the real view costs a fraction of the complex loop
+    du.view(float)[...] *= 1.0 / (2.0 * dr)
+    w = vals[lo:hi]
+    dudt = np.empty_like(w)
+    np.subtract(w[:, 2:], w[:, :-2], out=dudt[:, 1:-1])
+    np.subtract(w[:, 1], w[:, -1], out=dudt[:, 0])
+    np.subtract(w[:, 0], w[:, -2], out=dudt[:, -1])
+    dudt.view(float)[...] *= 1.0 / (2.0 * dt)
+    dudt.view(float)[...] *= 1.0 / spec.radii[lo:hi, None]
+    dudt *= 1j
+    du += dudt
+    return np.multiply(0.5 * np.exp(1j * spec.angles), du, out=du)
 
 
 def dbar_derivative(u: GridFunction) -> GridFunction:
-    """d-bar u on the grid by centered differences in polar form:
+    """d-bar u on the grid by centred differences in polar form:
     d-bar = (e^{i theta}/2)(d_r + (i/r) d_theta).  First and last radial
-    rings are filled by copying the nearest interior ring."""
-    spec = u.spec
-    vals = u.values
-    dr = spec.max_radius / spec.n_radial
-    dt = 2.0 * np.pi / spec.n_angular
-    dudr = np.empty_like(vals)
-    dudr[1:-1] = (vals[2:] - vals[:-2]) / (2.0 * dr)
-    dudr[0] = dudr[1]
-    dudr[-1] = dudr[-2]
-    dudt = (np.roll(vals, -1, axis=1) - np.roll(vals, 1, axis=1)) / (2.0 * dt)
-    theta = spec.angles[None, :]
-    r = spec.radii[:, None]
-    out = 0.5 * np.exp(1j * theta) * (dudr + 1j * dudt / r)
-    return GridFunction(spec, out)
+    rings take the radial difference of the nearest interior ring."""
+    return GridFunction._adopt(u.spec, _dbar_rings(u, 0, u.spec.n_radial))
 
 
 def dbar_residual(u: GridFunction, f: GridFunction) -> float:
-    """Max over interior nodes of |(1 - |z|^2) d-bar u - f|."""
-    if u.spec != f.spec:
+    """Max over interior nodes of |(1 - |z|^2) d-bar u - f|, ring block by
+    ring block: its working memory is a few blocks of ring_blocks, not a
+    grid.  1 - |z|^2 is 1 - r^2 of the node's ring."""
+    spec = u.spec
+    if spec != f.spec:
         raise ValueError("u and f must share a grid")
-    du = dbar_derivative(u).values
-    z = u.spec.nodes
-    resid = np.abs((1.0 - np.abs(z) ** 2) * du - f.values)
-    return float(resid[1:-1].max())
+    weight = 1.0 - spec.radii ** 2
+    worst = 0.0
+    for rows in ring_blocks(spec, 1, spec.n_radial - 1):
+        du = _dbar_rings(u, rows.start, rows.stop)
+        du.view(float)[...] *= weight[rows, None]
+        du -= f.values[rows]
+        worst = np.maximum(worst, np.abs(du).max())  # nan, if any, stays
+    return float(worst)
 
 
 def weighted_space_norm(

@@ -74,5 +74,9 @@ class GridTooCoarse(PreconditionError):
     """Too few grid nodes fall inside a required disk."""
 
 
+class GridTooLarge(PreconditionError):
+    """A grid would need more working memory than the method's cap allows."""
+
+
 class EmptyGrid(PreconditionError):
     """A radius or center grid required to be nonempty is empty."""

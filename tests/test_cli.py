@@ -126,6 +126,16 @@ def test_dbar_check(tmp_path):
     assert res["dbar_residual"] < 5e-3
 
 
+def test_dbar_check_grid_above_the_ring_cap(tmp_path, capsys):
+    # cauchy_transform refuses 10^5 rings (about 233 GiB of n_r x n_r
+    # arrays) before it allocates: one error line, exit status 3
+    inp = write_doc(tmp_path, "in.json", {"g_constant": [1.0, 0.0]})
+    code, _ = run_cli(tmp_path, ["dbar-check", inp, "--grid", "100000x16"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: precondition violated:") and err.count("\n") == 1
+
+
 def test_probe(tmp_path):
     inp = write_doc(tmp_path, "in.json", {"points": [0.0, 0.5]})
     code, rep = run_cli(tmp_path, ["probe", inp, "--epsilon", "0.1", "--trials", "8"])
@@ -396,7 +406,8 @@ def test_every_error_has_one_exit_status():
     leaves = [c for c in vars(errors).values() if isinstance(c, type)
               and issubclass(c, errors.DiskInterpError)
               and c not in families and c is not errors.DiskInterpError]
-    assert len(leaves) == 15
+    assert len(leaves) == 16
     for cls in leaves:
         assert sum(issubclass(cls, f) for f in families) == 1, cls.__name__
     assert issubclass(errors.DegeneratePair, errors.PreconditionError)
+    assert issubclass(errors.GridTooLarge, errors.PreconditionError)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from diskinterp.dbar import (
     CAUCHY_BLOCK,
+    CAUCHY_MAX_RINGS,
     GREEN_POTENTIAL_CALIBRATION,
     TauSpec,
     cauchy_transform,
@@ -25,11 +26,12 @@ from diskinterp.dbar import (
 from diskinterp.density import k_weight_many, local_mean
 from diskinterp.errors import (
     GridTooCoarse,
+    GridTooLarge,
     PositiveLaplacian,
     QuadratureDivergence,
     StencilOutOfDomain,
 )
-from diskinterp.grids import GridFunction, PolarGridSpec
+from diskinterp.grids import GRID_BLOCK, GridFunction, PolarGridSpec
 from diskinterp.schemes import PointSequence
 
 SPEC = PolarGridSpec(96, 128, 0.99)
@@ -297,6 +299,20 @@ def test_cauchy_transform_memory_at_400():
     assert _cauchy_peak(400) <= 4 * 400 * 400 * 16
 
 
+def test_cauchy_transform_ring_cap():
+    # refused before any n_r x n_r array is formed
+    spec = PolarGridSpec(CAUCHY_MAX_RINGS + 1, 16)
+    g = GridFunction(spec, np.ones((spec.n_radial, 16)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(GridTooLarge, match="rings"):
+            cauchy_transform(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_cauchy_transform_linearity():
     g1 = GridFunction.sample(lambda z: z.real + 0j, SPEC)
     g2 = GridFunction.sample(lambda z: np.abs(z) ** 2 + 0j, SPEC)
@@ -326,6 +342,58 @@ def test_cauchy_solves_dbar_equation():
     du = dbar_derivative(u).values
     err = np.abs(du - g.values)[2:-2].max()
     assert err < 2e-3
+
+
+def _roll_dbar(vals, spec):
+    """d-bar by centred differences over the whole grid, angular neighbours
+    from two np.roll copies: the reference for the ring-block stencil."""
+    dr = spec.max_radius / spec.n_radial
+    dt = 2.0 * np.pi / spec.n_angular
+    dudr = np.empty_like(vals)
+    dudr[1:-1] = (vals[2:] - vals[:-2]) / (2.0 * dr)
+    dudr[0] = dudr[1]
+    dudr[-1] = dudr[-2]
+    dudt = (np.roll(vals, -1, axis=1) - np.roll(vals, 1, axis=1)) / (2.0 * dt)
+    theta = spec.angles[None, :]
+    r = spec.radii[:, None]
+    return 0.5 * np.exp(1j * theta) * (dudr + 1j * dudt / r)
+
+
+# ring counts about the first block boundary of the interior rings 1..n_r - 2
+# at 16 angles, three blocks and a short one, and a grid whose rings each
+# exceed a block
+_STEP = GRID_BLOCK // 16
+
+
+@pytest.mark.parametrize("shape", [(_STEP + k, 16) for k in range(-1, 4)]
+                         + [(3 * _STEP + 7, 16), (40, 64), (18, GRID_BLOCK + 5)])
+def test_dbar_stencil_matches_the_roll_formula(shape):
+    rng = np.random.default_rng(shape[0])
+    spec = PolarGridSpec(*shape, 0.97)
+    u = GridFunction(spec, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    f = GridFunction(spec, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    du = _roll_dbar(u.values, spec)
+    assert np.array_equal(dbar_derivative(u).values, du)
+    # the residual takes 1 - |z|^2 as 1 - r^2 of the ring, not from the
+    # complex node: equal to a few rounding errors of the largest term
+    want = np.abs((1.0 - np.abs(spec.nodes) ** 2) * du - f.values)[1:-1].max()
+    assert abs(dbar_residual(u, f) - want) <= 4 * np.finfo(float).eps * np.abs(du).max()
+
+
+def test_dbar_residual_memory_at_400():
+    # a few blocks of ring_blocks on top of the held u and f: at most one
+    # grid array
+    spec = PolarGridSpec(400, 400, 0.995)
+    g = GridFunction.sample(lambda z: np.full(z.shape, 0.5 - 1.2j), spec)
+    u = cauchy_transform(g)
+    f = GridFunction.sample(lambda z: (0.5 - 1.2j) * (1.0 - np.abs(z) ** 2), spec)
+    tracemalloc.start()
+    try:
+        dbar_residual(u, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 400 * 400 * 16
 
 
 def test_dbar_residual_diagnostic():

@@ -1,12 +1,26 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from diskinterp.dbar import green_potential, log_kernel_smooth, weighted_space_norm
+from diskinterp.dbar import (
+    cauchy_transform,
+    dbar_derivative,
+    green_potential,
+    log_kernel_smooth,
+    weighted_space_norm,
+)
 from diskinterp.density import local_mean
-from diskinterp.grids import GridFunction, PolarGridSpec, gauss_jacobi, gauss_laguerre
+from diskinterp.grids import (
+    GRID_BLOCK,
+    GridFunction,
+    PolarGridSpec,
+    gauss_jacobi,
+    gauss_laguerre,
+    ring_blocks,
+)
 from diskinterp.interpolation import weighted_norms
 from diskinterp.reps import (
     BlaschkeLagrangeRep,
@@ -182,6 +196,90 @@ def test_grid_function_shape_check():
     spec = PolarGridSpec(32, 32)
     with pytest.raises(ValueError):
         GridFunction(spec, np.zeros((4, 4)))
+
+
+def test_grid_function_copies_the_callers_values():
+    spec = PolarGridSpec(16, 16)
+    v = np.zeros((16, 16), complex)
+    g = GridFunction(spec, v)
+    v[0, 0] = 1.0  # the caller's array stays writable and its own
+    assert g.values[0, 0] == 0.0
+    base = np.zeros((16, 32), complex)
+    h = GridFunction(spec, base[:, ::2])  # a view
+    base[:] = 2.0
+    assert not h.values.any()
+    with pytest.raises(ValueError):
+        g.values[0, 0] = 1.0
+
+
+def test_library_grid_functions_are_not_copied(monkeypatch):
+    # sample, cauchy_transform and dbar_derivative hand over their fresh
+    # arrays without the public, copying constructor
+    def copying(self, spec, values):
+        raise AssertionError("grid copied")
+
+    monkeypatch.setattr(GridFunction, "__init__", copying)
+    spec = PolarGridSpec(32, 48)
+    g = GridFunction.sample(lambda z: z * z, spec)
+    for h in (g, cauchy_transform(g), dbar_derivative(g)):
+        assert h.values.shape == (32, 48)
+        assert not h.values.flags.writeable
+
+
+@pytest.mark.parametrize("shape", [(400, 400), (301, 80), (16, 16), (17, GRID_BLOCK + 3)])
+def test_ring_blocks_cover_every_ring_once(shape):
+    spec = PolarGridSpec(*shape)
+    for start, stop in ((0, None), (1, shape[0] - 1)):
+        blocks = list(ring_blocks(spec, start, stop))
+        rings = np.concatenate([np.arange(shape[0])[rows] for rows in blocks])
+        assert rings.tolist() == list(range(start, stop or shape[0]))
+        sizes = [(rows.stop - rows.start) * shape[1] for rows in blocks]
+        assert all(n <= GRID_BLOCK or n == shape[1] for n in sizes)
+
+
+_ELEMENTWISE = [
+    np.conj,
+    np.exp,
+    lambda z: z,
+    lambda z: z ** 3 - 2.0 * z,
+    lambda z: z * (1 - np.abs(z) ** 2),
+    lambda z: 1.0 / (1.5 - z),
+    lambda z: np.log(1.0 - z),
+    lambda z: np.abs(z) ** 2,  # real values
+    lambda z: np.full(np.shape(z), 0.3 - 0.2j),
+    lambda z: (0.7 - 1.3j) * (1.0 - np.abs(z) ** 2),
+]
+
+
+@pytest.mark.parametrize("shape", [(400, 400), (301, 80), (17, GRID_BLOCK + 3)])
+@pytest.mark.parametrize("fun", _ELEMENTWISE)
+def test_sample_is_the_whole_grid_call(shape, fun):
+    # ring blocks hold the nodes r_i e^{i t_j} as spec.nodes does, bit for bit
+    spec = PolarGridSpec(*shape, 0.97)
+    got = GridFunction.sample(fun, spec).values
+    want = np.asarray(fun(spec.nodes), dtype=complex)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("fun", [lambda z: 1.0, lambda z: z[0], lambda z: z[:, :1], lambda z: z.ravel()])
+def test_sample_rejects_a_callable_that_is_not_elementwise(fun):
+    # a block assignment would broadcast a scalar, a ring or a column
+    with pytest.raises(ValueError):
+        GridFunction.sample(fun, PolarGridSpec(40, 64))
+
+
+def test_sample_memory_at_400():
+    # the values and one block of fun's temporaries: at most 1.25 grid arrays
+    spec = PolarGridSpec(400, 400, 0.995)
+    fun = lambda z: z * (1 - np.abs(z) ** 2)  # noqa: E731
+    GridFunction.sample(fun, spec)
+    tracemalloc.start()
+    try:
+        GridFunction.sample(fun, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 400 * 400 * 16
 
 
 def test_grid_integrate_constant():
