@@ -2,7 +2,9 @@
 
 One command per invocation; JSON in, JSON report out.  Identical inputs
 and seed produce byte-identical reports.  Exit codes: 0 success, 2 parse
-error, 3 precondition violation, 4 numerical failure.
+error, 3 precondition violation, 4 numerical failure, a nan or infinite
+number anywhere in the report among them (strict JSON has none, and no
+report is written).
 """
 
 from __future__ import annotations
@@ -146,6 +148,24 @@ def _scheme_dict(s) -> dict:
         "separation": s.separation,
         "cluster_bound": s.cluster_bound,
     }
+
+
+def _non_finite(value, path: str = ""):
+    """'path = value' for the first nan or infinite float in a report
+    value, or None: JSON has no such numbers."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else f"{path} = {float(value)!r}"
+    if isinstance(value, dict):
+        items = [(f"{path}.{key}" if path else key, item) for key, item in value.items()]
+    elif isinstance(value, (list, tuple)):
+        items = [(f"{path}[{i}]", item) for i, item in enumerate(value)]
+    else:
+        return None
+    for sub, item in items:
+        found = _non_finite(item, sub)
+        if found:
+            return found
+    return None
 
 
 def _provenance(args) -> dict:
@@ -338,6 +358,11 @@ def run(args) -> int:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     report = {"provenance": _provenance(args), "inputs": doc, "results": body}
+    bad = _non_finite(report)
+    if bad:
+        print(f"error: numerical failure: {bad} is not a JSON number; no report written",
+              file=sys.stderr)
+        return EXIT_NUMERICAL
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out:
         with open(args.out, "w") as fh:

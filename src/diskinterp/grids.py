@@ -20,6 +20,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import GridTooLarge
+
 
 def _check_count(*counts):
     """Raise ValueError unless every quadrature node count is at least 1."""
@@ -115,6 +117,13 @@ def disk_rule(radius: float, n_radial: int, n_angular: int):
 # sampling z (1 - |z|^2) on 400 x 400 peaks at 1.31 grid arrays, against
 # 1.18 at 2^13
 GRID_BLOCK = 2 ** 13
+# largest node count n_radial x n_angular of a PolarGridSpec, checked where
+# the grid is made, before any grid is sampled.  dbar-check holds up to four
+# complex grids (g, cauchy_transform's spectra and result, f) beside
+# cauchy_transform's n_r x n_r arrays, at most 1.6 GiB (CAUCHY_MAX_RINGS).
+# Four grids of 2^25 nodes are 2 GiB, so the whole stays under half of an
+# 8 GB machine
+GRID_MAX_NODES = 2 ** 25
 
 
 @dataclass(frozen=True)
@@ -126,6 +135,13 @@ class PolarGridSpec:
     def __post_init__(self):
         if self.n_radial < 16 or self.n_angular < 16:
             raise ValueError("grid must be at least 16 x 16")
+        if self.n_radial * self.n_angular > GRID_MAX_NODES:
+            raise GridTooLarge(
+                f"a {self.n_radial} x {self.n_angular} grid has "
+                f"{self.n_radial * self.n_angular} nodes, "
+                f"{16 * self.n_radial * self.n_angular / 2 ** 30:.1f} GiB per complex grid; "
+                f"at most {GRID_MAX_NODES} nodes are allowed"
+            )
         if not 0.0 < self.max_radius <= 0.999:
             raise ValueError("max_radius must be in (0, 0.999]")
 

@@ -17,7 +17,6 @@ from numbers import Integral
 
 import numpy as np
 
-from . import geometry as geo
 from .errors import (
     DegeneratePair,
     DuplicatePoint,
@@ -44,7 +43,7 @@ from .reps import (
     bergman_kernel_deriv,
     rep_as_callable,
 )
-from .schemes import Domain, InterpolationScheme, PointSequence, _touching_pairs
+from .schemes import Domain, InterpolationScheme, PointSequence, _psi_rows, _touching_pairs
 
 GRAM_CONDITION_LIMIT = 1e12
 # Relative duality gap at which quotient_norm_general returns its value.
@@ -1001,14 +1000,17 @@ def example3_norm(pairs, p: float) -> float:
 def _crowding(points: np.ndarray):
     """Per-point (n_gamma, delta_gamma): number of *other* points within
     psi-distance 1/2, and psi-distance to the nearest other point (1 for
-    singletons)."""
+    singletons), from the row blocks of _psi_rows with the diagonal
+    masked: no n x n matrix is formed."""
     n = len(points)
     if n == 1:
         return np.array([0]), np.array([1.0])
-    d = geo.psi_matrix(points, points)
-    np.fill_diagonal(d, np.inf)
-    n_gamma = (d < 0.5).sum(axis=1)
-    delta = d.min(axis=1)
+    n_gamma, delta = np.empty(n, dtype=np.intp), np.empty(n)
+    for lo, d in _psi_rows(points):
+        rows = np.arange(len(d))
+        d[rows, lo + rows] = np.inf
+        n_gamma[lo:lo + len(d)] = (d < 0.5).sum(axis=1)
+        delta[lo:lo + len(d)] = d.min(axis=1)
     return n_gamma, delta
 
 

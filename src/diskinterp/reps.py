@@ -62,20 +62,6 @@ def bergman_kernel_deriv(z, w, m: int, n: int, center: complex = 0.0, s: float =
     return s * s / np.pi * out
 
 
-def complex_derivative(fun, z, order: int, radius: float = 1e-2):
-    """order-th complex derivative of an analytic callable via the Cauchy
-    integral over a small circle (trapezoid rule, spectrally accurate)."""
-    if order == 0:
-        return fun(np.asarray(z, dtype=complex))
-    z = np.asarray(z, dtype=complex)
-    n = 64
-    ang = 2.0 * np.pi * np.arange(n) / n
-    ring = radius * np.exp(1j * ang)
-    vals = fun(z[..., None] + ring)
-    coeffs = (vals * np.exp(-1j * order * ang)).mean(axis=-1)
-    return factorial(order) * coeffs / radius ** order
-
-
 class AnalyticFunctionRep:
     """Base: evaluable at disk points together with derivatives."""
 
@@ -83,9 +69,7 @@ class AnalyticFunctionRep:
         raise NotImplementedError
 
     def derivative(self, z, order: int):
-        if order == 0:
-            return self(z)
-        return complex_derivative(self, z, order)
+        raise NotImplementedError
 
     def to_dict(self) -> dict:
         raise NotImplementedError
@@ -147,14 +131,29 @@ class BlaschkeLagrangeRep(AnalyticFunctionRep):
     terms: tuple[tuple[complex, tuple[tuple[complex, complex], ...]], ...]
 
     def __call__(self, z):
+        return self.derivative(z, 0)
+
+    def derivative(self, z, order: int):
+        """order! times the Taylor coefficient of that order at z.  A factor
+        M_b(z)/M_b(g) has a_0 = M_b(z)/M_b(g) and a_j = (|b|^2 - 1)
+        conj(b)^(j-1) q^(j+1) / M_b(g), q = 1/(1 - conj(b) z); a term's jet
+        is its coefficient times its factors' lists, cut at the order.  a_0
+        is a fresh temporary in each product, as in the product of ratios
+        (numpy may reuse it in place, swapping the operands and the last
+        bit), so order 0 is that product bit for bit."""
         z = np.asarray(z, dtype=complex)
         out = np.zeros_like(z)
         for coeff, factors in self.terms:
-            prod = np.full_like(z, coeff)
+            jet = [np.full_like(z, coeff)] + [0.0] * order
             for beta, gamma in factors:
-                prod = prod * (moebius_many(beta, z) / moebius(beta, gamma))
-            out = out + prod
-        return out
+                m, bbar = moebius(beta, gamma), np.conj(beta)
+                a = [(abs(beta) ** 2 - 1.0) * bbar ** (j - 1) / (1.0 - bbar * z) ** (j + 1) / m
+                     for j in range(1, order + 1)]
+                for j in range(order, -1, -1):  # top down: jet[:j] still the old ones
+                    jet[j] = sum((jet[i] * a[j - i - 1] for i in range(j)),
+                                 jet[j] * (moebius_many(beta, z) / m))
+            out = out + jet[order]
+        return factorial(order) * out
 
     def to_dict(self) -> dict:
         return {

@@ -145,7 +145,7 @@ class AdmissibilityReport:
 
 
 # Candidate pairs tested at once by _touching_pairs, and point pairs per
-# row block of _measured_separation: bounds their temporaries.
+# row block of _psi_rows: bounds their temporaries.
 PAIR_BLOCK = 2 ** 18
 # Arcs swept at once by _deepest (a single circle may exceed it), and the
 # circles of one block, whose index takes the top bits of a sort key.
@@ -365,16 +365,22 @@ def _components(z: np.ndarray, eps: float) -> np.ndarray:
     return label
 
 
+def _psi_rows(z: np.ndarray):
+    """(lo, psi_matrix(z[lo:hi], z)) for consecutive row blocks lo:hi of z
+    of at most PAIR_BLOCK pairs (one row may exceed it)."""
+    rows = max(1, PAIR_BLOCK // len(z))
+    for lo in range(0, len(z), rows):
+        yield lo, psi_matrix(z[lo:lo + rows], z)
+
+
 def _measured_separation(z: np.ndarray, label: np.ndarray) -> float:
     """Minimum psi over pairs of points z with distinct labels (0 if one
-    label), in row blocks of at most PAIR_BLOCK pairs."""
+    label), over the row blocks of _psi_rows."""
     if (label == label[0]).all():
         return 0.0
-    rows = max(1, PAIR_BLOCK // len(z))
     best = np.inf
-    for lo in range(0, len(z), rows):
-        d = psi_matrix(z[lo:lo + rows], z)
-        d[label[lo:lo + rows, None] == label[None, :]] = np.inf
+    for lo, d in _psi_rows(z):
+        d[label[lo:lo + len(d), None] == label[None, :]] = np.inf
         best = min(best, float(d.min()))
     return best
 

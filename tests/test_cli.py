@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import diskinterp
@@ -134,6 +135,61 @@ def test_dbar_check_grid_above_the_ring_cap(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("error: precondition violated:") and err.count("\n") == 1
+
+
+def test_dbar_check_grid_above_the_node_cap(tmp_path, capsys):
+    # 3.2e8 nodes: PolarGridSpec refuses the grid before g is sampled (it
+    # alone would be 4.8 GiB): one error line, exit status 3
+    import tracemalloc
+
+    inp = write_doc(tmp_path, "in.json", {"g_constant": [1.0, 0.0]})
+    tracemalloc.start()
+    try:
+        code, _ = run_cli(tmp_path, ["dbar-check", inp, "--grid", "20000000x16"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and peak < 1 << 20
+    err = capsys.readouterr().err
+    assert err.startswith("error: precondition violated:") and "nodes" in err
+    assert err.count("\n") == 1
+
+
+def _crowded_doc():
+    """300 points uniform in |z| < 0.5 (default_rng(0)), coefficients 1."""
+    rng = np.random.default_rng(0)
+    z = 0.5 * np.sqrt(rng.uniform(size=300)) * np.exp(2j * np.pi * rng.uniform(size=300))
+    return {"points": [[p.real, p.imag] for p in z], "coefficients": [1.0] * 300}
+
+
+def test_o_weight_that_overflows_is_a_numerical_failure(tmp_path, capsys):
+    # delta^(p n) underflows to 0, so the weight is inf, which strict JSON
+    # cannot hold: exit status 4, no report written, the result named
+    inp = write_doc(tmp_path, "in.json", _crowded_doc())
+    out = tmp_path / "report.json"
+    with pytest.warns(RuntimeWarning):  # divide by zero, then overflow
+        code = main(["o-weight", inp, "--p", "2", "--out", str(out)])
+    assert code == 4 and not out.exists()
+    err = capsys.readouterr().err
+    assert err == ("error: numerical failure: results.o_interp_weight = inf is not a JSON "
+                   "number; no report written\n")
+
+
+@pytest.mark.parametrize("bad, path", [
+    (math.nan, "results.a[1].b = nan"),
+    (-math.inf, "results.a[1].b = -inf"),
+    (np.float64(math.inf), "results.a[1].b = inf"),
+])
+def test_any_non_finite_number_in_a_report_is_a_numerical_failure(tmp_path, monkeypatch, capsys,
+                                                                    bad, path):
+    # one check in cli.run, whatever the command and wherever the number
+    monkeypatch.setitem(cli._COMMANDS, "scheme",
+                        (lambda args, doc: {"a": [1.0, {"b": bad}], "c": 2}, cli._EPSILON))
+    inp = write_doc(tmp_path, "in.json", {"points": [0.0]})
+    out = tmp_path / "report.json"
+    assert main(["scheme", inp, "--out", str(out)]) == 4 and not out.exists()
+    assert capsys.readouterr().err == (
+        f"error: numerical failure: {path} is not a JSON number; no report written\n")
 
 
 def test_probe(tmp_path):

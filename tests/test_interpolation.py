@@ -24,7 +24,7 @@ from diskinterp.errors import (
     QuadratureDivergence,
     SingularGram,
 )
-from diskinterp.geometry import PseudoDisk, moebius, moebius_deriv, psi, pseudo_to_euclidean
+from diskinterp.geometry import PseudoDisk, moebius, moebius_deriv, psi, psi_matrix, pseudo_to_euclidean
 from diskinterp.interpolation import (
     JetConstraint,
     JetTargets,
@@ -51,6 +51,7 @@ from diskinterp.schemes import (
     PointSequence,
     build_maximal_scheme,
     build_minimal_scheme,
+    hyperbolic_lattice,
 )
 
 
@@ -1243,6 +1244,51 @@ def test_o_interp_weight_rejects_bad_params(p, alpha):
     # p = -1 gave 0.531 and nan parameters gave nan
     with pytest.raises(ValueError):
         o_interp_weight(PointSequence([0.0, 0.3]), [1.0, 1.0], p, alpha=alpha)
+
+
+def _dense_crowding(points):
+    """(n_gamma, delta_gamma) from the whole n x n psi matrix."""
+    if len(points) == 1:
+        return np.array([0]), np.array([1.0])
+    d = psi_matrix(points, points)
+    np.fill_diagonal(d, np.inf)
+    return (d < 0.5).sum(axis=1), d.min(axis=1)
+
+
+@pytest.mark.parametrize("pair_block", [None, 64, 1])
+def test_crowding_matches_the_dense_psi_matrix(monkeypatch, pair_block):
+    # the row blocks of the separation's scan, at the library's block size
+    # and at blocks of a few rows or one, on random sets with a repeated
+    # point among them, the same bits as the dense matrix
+    from diskinterp import schemes
+
+    if pair_block is not None:
+        monkeypatch.setattr(schemes, "PAIR_BLOCK", pair_block)
+    rng = np.random.default_rng(23)
+    for n in (1, 2, 3, 17, 200, 1500):
+        z = rng.uniform(0.0, 0.99, n) ** 0.5 * np.exp(2j * np.pi * rng.uniform(size=n))
+        if n > 2:
+            z[n // 2] = z[0]
+        got, want = interpolation._crowding(z), _dense_crowding(z)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and (g == w).all(), n
+
+
+def test_o_interp_weight_on_a_large_lattice_holds_no_n_by_n_matrix():
+    # 6,719 points: a dense psi matrix with its complex temporaries is about
+    # 2 GiB, the row blocks a few MiB
+    import tracemalloc
+
+    Z = PointSequence(hyperbolic_lattice(0.999, 0.55))
+    assert len(Z) == 6719
+    tracemalloc.start()
+    try:
+        got = o_interp_weight(Z, np.ones(len(Z)), 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == 214.01448426231855
+    assert peak <= 20 * 2 ** 20
 
 
 def test_lagrange_cluster_interpolant():

@@ -13,20 +13,22 @@ from diskinterp.dbar import (
     weighted_space_norm,
 )
 from diskinterp.density import local_mean
+from diskinterp.errors import GridTooLarge
+from diskinterp.geometry import moebius, moebius_many
 from diskinterp.grids import (
     GRID_BLOCK,
+    GRID_MAX_NODES,
     GridFunction,
     PolarGridSpec,
     gauss_jacobi,
     gauss_laguerre,
     ring_blocks,
 )
-from diskinterp.interpolation import weighted_norms
+from diskinterp.interpolation import lagrange_cluster_interpolant, weighted_norms
 from diskinterp.reps import (
     BlaschkeLagrangeRep,
     KernelRep,
     bergman_kernel_deriv,
-    complex_derivative,
 )
 from diskinterp.schemes import PointSequence
 
@@ -126,15 +128,121 @@ def test_bergman_kernel_deriv_matches_exact_rationals():
                                 z, w, m, n)
 
 
-def test_complex_derivative_of_polynomial():
-    fun = lambda z: z ** 4 - 2.0 * z
-    z = np.array(0.3 + 0.2j)
-    assert complex(complex_derivative(fun, z, 1)) == pytest.approx(
-        4.0 * (0.3 + 0.2j) ** 3 - 2.0, rel=1e-10
-    )
-    assert complex(complex_derivative(fun, z, 3)) == pytest.approx(
-        24.0 * (0.3 + 0.2j), rel=1e-8
-    )
+def _exact_blaschke_jet(terms, z, order):
+    """order! times the Taylor coefficient of that order of
+    sum_t c_t prod M_b(z)/M_b(g) at z, in exact complex rationals (the
+    floats read as the rationals they are).  Each factor's series
+    (b - z - h) / (1 - conj(b) z - conj(b) h) comes from long division in h,
+    not from the closed form of its coefficients."""
+    def cx(a):
+        a = complex(a)
+        return Fraction(a.real), Fraction(a.imag)
+
+    def mul(a, b):
+        return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+    def add(a, b):
+        return a[0] + b[0], a[1] + b[1]
+
+    def inv(a):
+        d = a[0] ** 2 + a[1] ** 2
+        return a[0] / d, -a[1] / d
+
+    zero = (Fraction(0), Fraction(0))
+    u = cx(z)
+    total = zero
+    for coeff, factors in terms:
+        jet = [cx(coeff)] + [zero] * order
+        for beta, gamma in factors:
+            b, g = cx(beta), cx(gamma)
+            bbar = (b[0], -b[1])
+            bg, bu = mul(bbar, g), mul(bbar, u)
+            ratio = inv(mul((b[0] - g[0], b[1] - g[1]), inv((1 - bg[0], -bg[1]))))
+            num = [(b[0] - u[0], b[1] - u[1]), (Fraction(-1), Fraction(0))]
+            den0, den1 = (1 - bu[0], -bu[1]), (-bbar[0], -bbar[1])
+            series = []
+            for k in range(order + 1):
+                acc = num[k] if k < 2 else zero
+                if k:
+                    t = mul(den1, series[k - 1])
+                    acc = (acc[0] - t[0], acc[1] - t[1])
+                series.append(mul(acc, inv(den0)))
+            series = [mul(a, ratio) for a in series]
+            new = []
+            for j in range(order + 1):
+                acc = zero
+                for i in range(j + 1):
+                    acc = add(acc, mul(jet[i], series[j - i]))
+                new.append(acc)
+            jet = new
+        total = add(total, jet[order])
+    f = math.factorial(order)
+    return complex(float(total[0] * f), float(total[1] * f))
+
+
+def test_blaschke_jets_match_exact_rationals():
+    # one to four factors, orders 0-3, points out to modulus 0.999, among
+    # them the rim cases beta = 0.999, z = 0.9985 and beta = 0.995,
+    # z = 0.9945, whose poles 1/conj(beta) lie within 0.003 of z, and
+    # z = beta, a zero of the product
+    rng = np.random.default_rng(11)
+    cases = [
+        (((1.0, ((0.999, 0.2),)),), 0.9985),
+        (((1.0, ((0.995, 0.5j),)),), 0.9945),
+        (((1.0, ((0.999, 0.2), (0.999j, -0.3))),), 0.9985),
+        (((2.0 - 1.0j, ((0.9 + 0.3j, 0.1),)),), 0.9 + 0.3j),
+    ]
+    for nf in (1, 2, 3, 4):
+        for _ in range(8):
+            terms = []
+            for _ in range(int(rng.integers(1, 3))):
+                factors = tuple(
+                    (complex(rng.choice([0.0, 0.3, 0.9, 0.99, 0.999]) * np.exp(2j * np.pi * rng.uniform())),
+                     complex(rng.choice([0.2, 0.6, 0.95]) * np.exp(2j * np.pi * rng.uniform())))
+                    for _ in range(nf))
+                terms.append((complex(rng.standard_normal(), rng.standard_normal()), factors))
+            beta = terms[0][1][0][0]
+            near = beta * (1.0 - 0.5 * (1.0 - abs(beta)))  # on beta's ray, (1 - |beta|)/2 inside
+            far = rng.choice([0.0, 0.5, 0.99, 0.999]) * np.exp(2j * np.pi * rng.uniform())
+            cases += [(tuple(terms), complex(near)), (tuple(terms), complex(far))]
+    for terms, z in cases:
+        f = BlaschkeLagrangeRep(tuple((complex(c), tuple((complex(b), complex(g)) for b, g in fs))
+                                      for c, fs in terms))
+        for order in range(4):
+            exact = _exact_blaschke_jet(f.terms, z, order)
+            got = complex(f.derivative(np.array(z), order))
+            assert abs(got - exact) <= 1e-12 * abs(exact), (terms, z, order, got, exact)
+
+
+def _product_of_ratios(f, z):
+    """The Blaschke-Lagrange value as the plain loop over factor ratios."""
+    z = np.asarray(z, dtype=complex)
+    out = np.zeros_like(z)
+    for coeff, factors in f.terms:
+        prod = np.full_like(z, coeff)
+        for beta, gamma in factors:
+            prod = prod * (moebius_many(beta, z) / moebius(beta, gamma))
+        out = out + prod
+    return out
+
+
+def test_blaschke_value_is_the_product_of_ratios():
+    # bit for bit, on arrays below and above numpy's 256 KiB threshold for
+    # reusing a temporary operand in place, and on 0-d arrays and scalars
+    rng = np.random.default_rng(5)
+    for size in (1, 4, 9):
+        pts = 0.95 * np.sqrt(rng.uniform(size=size)) * np.exp(2j * np.pi * rng.uniform(size=size))
+        vals = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        reps = [lagrange_cluster_interpolant(pts, vals),
+                BlaschkeLagrangeRep(((1.5 - 2j, ()),) + lagrange_cluster_interpolant(pts, vals).terms)]
+        for f in reps:
+            for shape in ((), (7, 5), (128, 160)):
+                z = 0.99 * np.sqrt(rng.uniform(size=shape)) * np.exp(2j * np.pi * rng.uniform(size=shape))
+                want = _product_of_ratios(f, z)
+                got = f(z)
+                assert type(got) is type(want)
+                assert np.array_equal(got, want) and np.array_equal(f.derivative(z, 0), want)
+            assert f(complex(pts[0])) == _product_of_ratios(f, complex(pts[0]))
 
 
 def test_kernelrep_matches_kernel():
@@ -190,6 +298,22 @@ def test_grid_spec_validation():
         PolarGridSpec(8, 64)
     with pytest.raises(ValueError):
         PolarGridSpec(64, 64, 1.1)
+
+
+def test_grid_spec_node_cap():
+    # refused where the grid is made, before any node array exists; the
+    # CLI default, the benchmark's grid and the cap itself are made
+    for n_r, n_t in ((200, 200), (400, 400), (100000, 16), (GRID_MAX_NODES // 16, 16)):
+        assert PolarGridSpec(n_r, n_t).n_radial == n_r
+    tracemalloc.start()
+    try:
+        for n_r, n_t in ((GRID_MAX_NODES // 16 + 1, 16), (20000000, 16), (16, GRID_MAX_NODES)):
+            with pytest.raises(GridTooLarge, match="nodes"):
+                PolarGridSpec(n_r, n_t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_grid_function_shape_check():
