@@ -335,13 +335,18 @@ _COMMANDS = {
 }
 
 
+def _no_constant(name: str):
+    """json's hook for NaN, Infinity and -Infinity, which are not JSON."""
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def run(args) -> int:
     """Dispatch a parsed command line; write the report; return the process
     exit status."""
     try:
         with open(args.input) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            doc = json.load(fh, parse_constant=_no_constant)
+    except (OSError, ValueError) as exc:
         print(f"error: cannot parse input: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:

@@ -16,6 +16,7 @@ from .errors import EmptyGrid, GridTooCoarse
 from .geometry import PseudoDisk, as_complex, psi_array, pseudo_to_euclidean
 from .grids import midpoint_radii, ring_angles
 from .reps import rep_as_callable
+from . import schemes
 from .schemes import PointSequence
 
 
@@ -109,10 +110,6 @@ class DensityReport:
                 yield r, a, float(self.d_values[i, j]), float(self.s_values[i, j])
 
 
-# (centre, point) pairs per block of estimate_upper_densities
-DENSITY_BLOCK = 2 ** 18
-
-
 def estimate_upper_densities(
     Z: PointSequence, radii, centers
 ) -> DensityReport:
@@ -121,9 +118,10 @@ def estimate_upper_densities(
     The two upper-density estimates are the maxima over centers at the
     largest radius.  This approximates a limsup of a sup; no convergence
     rate is claimed and the grids are recorded in the report.  The Moebius
-    images of Z about all centers form one centres x points matrix (in
-    blocks of DENSITY_BLOCK entries), and each radius row of the table
-    comes from masked row sums of the sums in density_quotient and k_hat.
+    images of Z about all centers form one centres x points matrix, taken
+    in row blocks of at most schemes.PAIR_BLOCK entries (one row may exceed
+    it), and each radius row of the table comes from masked row sums of the
+    sums in density_quotient and k_hat.
     """
     radii = [float(r) for r in radii]
     centers = [as_complex(a) for a in centers]
@@ -137,7 +135,7 @@ def estimate_upper_densities(
     a = np.array(centers)[:, None]
     d = np.empty((len(radii), len(centers)))
     s = np.empty_like(d)
-    rows = max(1, DENSITY_BLOCK // max(1, len(Z)))
+    rows = max(1, schemes.PAIR_BLOCK // max(1, len(Z)))
     for lo in range(0, len(centers), rows):
         ab = a[lo:lo + rows]
         w = psi_array(z, ab)

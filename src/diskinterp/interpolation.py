@@ -23,6 +23,7 @@ from .errors import (
     InfeasibleConstraints,
     MalformedJet,
     NonConvergence,
+    NumericalError,
     PairTooFar,
     QuadratureDivergence,
     SingularGram,
@@ -1018,7 +1019,12 @@ def o_interp_weight(Z: PointSequence, coeffs, p: float, alpha: float = 0.0) -> f
     """Crowding-weighted interpolation sum
     sum |c|^p (1-|gamma|^2)^(alpha+2) / delta^(p n); n counts the other
     points within psi-distance 1/2 of gamma, delta is the distance to the
-    nearest other point (1 for singletons)."""
+    nearest other point (1 for singletons).
+
+    Raises NumericalError, naming the first point, when a term is not
+    finite (delta^(p n) underflows to 0 on crowded sets), or when the sum
+    overflows.
+    """
     a = Z.array
     if len(np.unique(a)) != len(a):
         raise DuplicatePoint("o_interp_weight requires distinct points")
@@ -1028,13 +1034,22 @@ def o_interp_weight(Z: PointSequence, coeffs, p: float, alpha: float = 0.0) -> f
         raise ValueError(f"p must be finite and positive, got {p}")
     c = np.asarray(coeffs, dtype=complex)
     n_gamma, delta = _crowding(a)
-    return float(
-        (
+    with np.errstate(all="ignore"):
+        terms = (
             np.abs(c) ** p
             * (1.0 - np.abs(a) ** 2) ** (alpha + 2.0)
             / delta ** (p * n_gamma)
-        ).sum()
-    )
+        )
+        total = float(terms.sum())
+    bad = np.flatnonzero(~np.isfinite(terms))
+    if len(bad):
+        k = int(bad[0])
+        d, e = float(delta[k]), float(p * n_gamma[k])
+        raise NumericalError(f"o_interp_weight: the term of point {k} is {terms[k]}: "
+                             f"delta = {d!r} to the power p n = {e!r} is {d ** e!r}")
+    if not np.isfinite(total):
+        raise NumericalError(f"o_interp_weight: the sum of {len(terms)} finite terms overflows")
+    return total
 
 
 def lagrange_cluster_interpolant(points, values) -> BlaschkeLagrangeRep:

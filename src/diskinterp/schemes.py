@@ -144,9 +144,15 @@ class AdmissibilityReport:
         return self.p1_ok and self.p2_ok and self.p3_ok and self.p4_ok
 
 
-# Candidate pairs tested at once by _touching_pairs, and point pairs per
-# row block of _psi_rows: bounds their temporaries.
-PAIR_BLOCK = 2 ** 18
+# Entries of every elementwise pass over pairs: candidate pairs tested at
+# once by _touching_pairs and _segment_max, point pairs per row block of
+# _psi_rows and of density.estimate_upper_densities, arcs per _arcs call.
+# A float temporary is then 64 KB, so a call's temporaries are reused
+# inside the heap instead of being mapped and zero-filled afresh.  Over
+# 2^11..2^16 and 2^18, the benchmark's scheme sets ran fastest at 2^13 and
+# 2^14 (a round 21.5 ms against 24.9 at 2^16 and 2^18, 26.6 at 2^11), and
+# bounded_density's peak is lower at 2^13
+PAIR_BLOCK = 2 ** 13
 # Arcs swept at once by _deepest (a single circle may exceed it), and the
 # circles of one block, whose index takes the top bits of a sort key.
 SWEEP_BLOCK = 2 ** 17
@@ -520,27 +526,12 @@ def hyperbolic_lattice(max_radius: float, pitch: float) -> np.ndarray:
     return np.asarray(pts, dtype=complex)
 
 
-def _sweep(c, r, a, b, circles, local, labels, weights, merge, unit):
-    """Deepest point along some Euclidean circles (c[i], r[i]):
-    (depth, i, theta).
-
-    The circles swept are circles[k], k < SWEEP_CIRCLES, and local[i] is k
-    for them and -1 for the other circles.  Each pair (a[j], b[j]) is two
-    disks of different labels that meet, one of them swept.  depth is the
-    largest, over those circles i and angles theta, of weights[labels[i]]
-    plus the weight of the other labels whose open disks hold the point at
-    angle theta of circle i; 0 when no arc is left.  A disk covers an open
-    arc of the circle, or all of it when disk i lies in it; tangency and
-    disks inside disk i give nothing.  With merge, a label's arcs on a
-    circle are first merged, so that it counts once however many disks it
-    has; unit says that every weight is 1.
-
-    Arc ends are compared on the grid of angles k 2^-48 (3.6e-15 rad, four
-    doubles near 2 pi, about the rounding error of the ends themselves),
-    with ends before starts at one grid angle: arcs that overlap by less
-    than a grid step count as touching, so rounding never adds depth.
-    """
-    la, lb = local[a], local[b]
+def _arcs(c, r, a, b, start, stop):
+    """Sort keys (see _sweep) of the arcs that the disks of the pairs
+    (a[j], b[j]) cut on the swept circles start..stop-1 among them, and per
+    key the disk whose arc it bounds."""
+    la = np.where((a >= start) & (a < stop), a - start, -1)
+    lb = np.where((b >= start) & (b < stop), b - start, -1)
     v = c[b] - c[a]
     d, ra, rb = np.abs(v), r[a], r[b]
     # half-widths from Heron's product: its factors carry no cancellation
@@ -571,40 +562,90 @@ def _sweep(c, r, a, b, circles, local, labels, weights, merge, unit):
         circle[wrap] | 1,
         circle | (hi * grid).astype(np.int64) << 1,
         circle[wrap] | int(2.0 * np.pi * grid) << 1])
-    if merge or not unit:
-        label = labels[np.concatenate([b, a])[keep]]
-        label = np.concatenate([label, label[wrap], label, label[wrap]])
+    disk = np.concatenate([b, a])[keep]
+    return key, np.concatenate([disk, disk[wrap], disk, disk[wrap]])
+
+
+def _sweep(c, r, a, b, pick, start, stop, labels, weights, merge, unit):
+    """Deepest point along the Euclidean circles (c[i], r[i]),
+    start <= i < stop (at most SWEEP_CIRCLES of them): (depth, i, theta).
+
+    Each pair (a[j], b[j]), j in pick, is two disks of different labels
+    that meet, one of them swept.  depth is the largest, over those circles
+    i and angles theta, of weights[labels[i]] plus the weight of the other
+    labels whose open disks hold the point at angle theta of circle i; 0
+    when no arc is left.  A disk covers an open arc of the circle, or all
+    of it when disk i lies in it; tangency and disks inside disk i give
+    nothing.  With merge, a label's arcs on a circle are first merged, so
+    that it counts once however many disks it has; unit says that every
+    weight is 1.
+
+    Arc ends are compared on the grid of angles k 2^-48 (3.6e-15 rad, four
+    doubles near 2 pi, about the rounding error of the ends themselves),
+    with ends before starts at one grid angle: arcs that overlap by less
+    than a grid step count as touching, so rounding never adds depth.  The
+    keys come from _arcs on PAIR_BLOCK / 2 picked pairs at a time, at most
+    PAIR_BLOCK arcs, so that only the key array and the depth grow with the
+    pairs.
+    """
+    keys, disks = [], []
+    step = max(1, PAIR_BLOCK // 2)
+    for lo in range(0, len(pick), step):
+        p = pick[lo:lo + step]
+        key, disk = _arcs(c, r, a[p], b[p], start, stop)
+        keys.append(key)
+        if merge or not unit:
+            disks.append(disk)
+    # each list freed once it is joined
+    key = np.concatenate(keys)
+    del keys[:]
+    if disks:
+        label = labels[np.concatenate(disks)]
+        del disks[:]
     if merge:
         # a label comes on where its cover count leaves 0 and goes off
         # where it returns there; each (label, circle) group's steps sum
         # to 0, so one running sum serves every group
         idx = np.lexsort((key, label))
-        cover = np.cumsum((key[idx] & 1) * 2 - 1)
-        idx = idx[np.where(key[idx] & 1, cover == 1, cover == 0)]
         key, label = key[idx], label[idx]
+        cover = key & 1
+        cover *= 2
+        cover -= 1
+        np.cumsum(cover, out=cover)
+        on = np.where(key & 1, cover == 1, cover == 0)
+        key, label = key[on], label[on]
     if len(key) == 0:
         return 0, -1, 0.0
     if unit:
-        key = np.sort(key)
-        depth = 2 * np.cumsum(key & 1) - np.arange(len(key))
+        key.sort()
     else:
         idx = np.argsort(key)
         key = key[idx]
-        depth = np.cumsum(weights[label[idx]] * ((key & 1) * 2 - 1))
-        depth += weights[labels[circles]][key >> 52]
+    # +1 at a start and -1 at an end, summed in place from the circle's own
+    # weight
+    depth = key & 1
+    depth *= 2
+    depth -= 1
+    if unit:
+        np.cumsum(depth, out=depth)
+        depth += 1
+    else:
+        depth *= weights[label[idx]]
+        np.cumsum(depth, out=depth)
+        depth += weights[labels[start:stop]][key >> 52]
     k = int(np.argmax(depth))
     # the maximum follows a start, and the circle's next event, an end or
     # a later start, lies at a larger grid angle
     grid = (key[k:k + 2] >> 1) & (2 ** 51 - 1)
-    return int(depth[k]), int(circles[key[k] >> 52]), float(grid.sum()) * 2.0 ** -49
+    return int(depth[k]), start + int(key[k] >> 52), float(grid.sum()) * 2.0 ** -49
 
 
 def _deepest(centers, radii, labels, weights):
     """Deepest point of labelled open pseudo-disks: (depth, i, theta).
 
     depth is the largest total weight of labels having some disk that holds
-    one common point (disk i has label labels[i], label l weight
-    weights[l] >= 1).  Every pseudo-disk is a Euclidean disk, and the
+    one common point (disk i has label labels[i], label l the integer
+    weight weights[l] >= 1).  Every pseudo-disk is a Euclidean disk, and the
     deepest cell of their arrangement is bounded by arcs of disks that
     contain it.  So depth is the maximum over disks i of the weight of
     labels[i] plus the weight of the other labels whose open disks hold
@@ -637,10 +678,11 @@ def _deepest(centers, radii, labels, weights):
     arcs = np.concatenate([[0], np.cumsum(2 * degree[order])])
     rank = np.empty(n, dtype=np.int32)
     rank[order] = np.arange(n)
-    # the pairs by rank from here on: a block is a range of ranks
+    # the disks and pairs by rank from here on: a block is a range of ranks
     np.take(rank, a, out=a)
     np.take(rank, b, out=b)
-    c, r = euclidean_images(centers, radii)
+    c, r = euclidean_images(centers[order], radii[order])
+    labels = labels[order]
     first = int(np.argmax(own))
     best = (int(own[first]), first, 0.0)
     start = 0
@@ -651,11 +693,9 @@ def _deepest(centers, radii, labels, weights):
         stop = int(np.searchsorted(arcs, arcs[start] + SWEEP_BLOCK, side="right")) - 1
         stop = 1 if start == 0 else min(max(stop, start + 1), live, start + SWEEP_CIRCLES)
         pick = np.flatnonzero(((a >= start) & (a < stop)) | ((b >= start) & (b < stop)))
-        local = np.where((rank >= start) & (rank < stop), rank - start, -1)
-        found = _sweep(c, r, order[a[pick]], order[b[pick]], order[start:stop], local,
-                       labels, weights, merge, unit)
-        if found[0] > best[0]:
-            best = found
+        depth, i, theta = _sweep(c, r, a, b, pick, start, stop, labels, weights, merge, unit)
+        if depth > best[0]:
+            best = (depth, int(order[i]), theta)
         start = stop
 
 

@@ -163,16 +163,33 @@ def _crowded_doc():
 
 
 def test_o_weight_that_overflows_is_a_numerical_failure(tmp_path, capsys):
-    # delta^(p n) underflows to 0, so the weight is inf, which strict JSON
-    # cannot hold: exit status 4, no report written, the result named
+    # delta^(p n) underflows to 0: the library raises NumericalError, with
+    # no numpy warning, naming the first point; exit status 4, no report
+    # written
     inp = write_doc(tmp_path, "in.json", _crowded_doc())
     out = tmp_path / "report.json"
-    with pytest.warns(RuntimeWarning):  # divide by zero, then overflow
-        code = main(["o-weight", inp, "--p", "2", "--out", str(out)])
+    code = main(["o-weight", inp, "--p", "2", "--out", str(out)])
     assert code == 4 and not out.exists()
     err = capsys.readouterr().err
-    assert err == ("error: numerical failure: results.o_interp_weight = inf is not a JSON "
-                   "number; no report written\n")
+    assert err == ("error: numerical failure: o_interp_weight: the term of point 0 is inf: "
+                   "delta = 0.013874137581359998 to the power p n = 278.0 is 0.0\n")
+
+
+@pytest.mark.parametrize("command, text", [
+    ("o-weight", '{"points": [0.5], "coefficients": [NaN]}'),
+    ("dbar-check", '{"g_constant": [Infinity, 0.0]}'),
+    ("scheme", '{"points": [[0.1, -Infinity]]}'),
+])
+def test_nan_and_infinity_in_an_input_document_are_parse_errors(tmp_path, capsys, command, text):
+    # json.load alone reads these non-JSON tokens as floats: o-weight then
+    # exited 4 on its nan coefficient
+    inp = tmp_path / "in.json"
+    inp.write_text(text)
+    out = tmp_path / "report.json"
+    assert main([command, str(inp), "--out", str(out)]) == 2 and not out.exists()
+    err = capsys.readouterr().err
+    token = re.search(r"-?Infinity|NaN", text).group()
+    assert err == f"error: cannot parse input: {token} is not a JSON number\n"
 
 
 @pytest.mark.parametrize("bad, path", [

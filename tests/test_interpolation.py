@@ -20,6 +20,7 @@ from diskinterp.errors import (
     InfeasibleConstraints,
     MalformedJet,
     NonConvergence,
+    NumericalError,
     PairTooFar,
     QuadratureDivergence,
     SingularGram,
@@ -1245,6 +1246,21 @@ def test_o_interp_weight_rejects_bad_params(p, alpha):
     with pytest.raises(ValueError):
         o_interp_weight(PointSequence([0.0, 0.3]), [1.0, 1.0], p, alpha=alpha)
 
+
+
+def test_o_interp_weight_that_overflows_raises():
+    # 300 points uniform in |z| < 0.5 (default_rng(0)): delta^(p n)
+    # underflows to 0, which gave inf and numpy's RuntimeWarnings (errors
+    # in this suite); the first point whose term is not finite is named
+    rng = np.random.default_rng(0)
+    z = 0.5 * np.sqrt(rng.uniform(size=300)) * np.exp(2j * np.pi * rng.uniform(size=300))
+    with pytest.raises(NumericalError, match=re.escape(
+            "the term of point 0 is inf: delta = 0.013874137581359998 to the power "
+            "p n = 278.0 is 0.0")):
+        o_interp_weight(PointSequence(z), np.ones(300), 2.0)
+    # finite terms whose sum overflows: four uncrowded points
+    with pytest.raises(NumericalError, match="the sum of 4 finite terms overflows"):
+        o_interp_weight(PointSequence([0.0, 0.8, -0.8, 0.8j]), np.full(4, 1.2e154), 2.0)
 
 def _dense_crowding(points):
     """(n_gamma, delta_gamma) from the whole n x n psi matrix."""

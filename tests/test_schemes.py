@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diskinterp.density import default_density_report, estimate_upper_densities
 from diskinterp.errors import DiameterOverflow, NoValidEpsilon
 from diskinterp.geometry import (
     PseudoDisk,
@@ -787,6 +788,68 @@ def test_scheme_geometry_forms_no_square_matrix():
     assert build_peak <= 16 * 2 ** 20
     assert check_peak <= 48 * 2 ** 20
 
+
+
+def _pair_outputs(seed, n, R):
+    """Every pair pass on one random set with repeats: _touching_pairs at
+    mixed radii, _diameters over random segments (mixed radii, and equal
+    radii over the hull), _measured_separation, _deepest with unit,
+    weighted and merged labels, and the density table, as exact values."""
+    rng = np.random.default_rng(seed)
+    z = 0.9 * np.sqrt(rng.uniform(size=n)) * np.exp(2j * np.pi * rng.uniform(size=n))
+    z = np.concatenate([z, z[rng.integers(0, n, n // 3)]])
+    m = len(z)
+    radii = R * rng.uniform(0.2, 1.0, m)
+    seg = np.unique(rng.integers(0, 4, m), return_inverse=True)[1]
+    seg.sort()
+    label = rng.integers(0, max(1, m // 3), m)
+    points, counts = np.unique(z, return_counts=True)
+    rep = estimate_upper_densities(PointSequence(z), (0.3, 0.9), np.concatenate([[0.0], z[:9]]))
+    return [
+        *schemes._touching_pairs(z, radii),
+        schemes._diameters(z, radii, seg),
+        schemes._diameters(z, np.full(m, R), seg),
+        schemes._measured_separation(z, label),
+        _deepest(z, np.full(m, R), np.arange(m), np.ones(m, dtype=int)),
+        _deepest(points, np.full(len(points), R), np.arange(len(points)), counts),
+        _deepest(z, radii, label, rng.integers(1, 4, label.max() + 1)),
+        _deepest(z, np.full(m, R), label, np.ones(label.max() + 1, dtype=int)),
+        rep.d_values, rep.s_values,
+    ]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40), st.floats(0.02, 0.6))
+def test_pair_passes_do_not_depend_on_the_block(seed, n, R):
+    # every elementwise pass over pairs takes at most PAIR_BLOCK entries at
+    # a time; blocks of 1, 7 and 64 entries give the library's values and
+    # dtypes bit for bit
+    want = _pair_outputs(seed, n, R)
+    for block in (1, 7, 64):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(schemes, "PAIR_BLOCK", block)
+            got = _pair_outputs(seed, n, R)
+        for g, w in zip(got, want):
+            assert type(g) is type(w) and np.asarray(g).dtype == np.asarray(w).dtype
+            assert np.array_equal(g, w), block
+
+
+def test_pair_passes_hold_no_input_sized_temporaries():
+    # bounded_density and the density table on spiral_cloud(0) peaked at
+    # 8.3 and 4.2 MiB when one pair block held the whole input, and the
+    # separation of 3,000 points at 14 MiB of complex psi row blocks
+    Z = PointSequence(spiral_cloud(0))
+    z = spiral_cloud(1, n=3000, rmax=0.9)
+    cases = [(bounded_density, (Z, 0.3), 3.0), (default_density_report, (Z,), 1.0),
+             (schemes._measured_separation, (z, np.arange(3000) // 3), 1.0)]
+    for f, args, mib in cases:
+        tracemalloc.start()
+        try:
+            f(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= mib * 2 ** 20, f.__name__
 
 def test_overlap_bound_disjoint():
     s = build_minimal_scheme(PointSequence([0.0, 0.8]), 0.05)
