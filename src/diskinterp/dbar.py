@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import k_weight_many, local_means
+from .density import _check_q, _CircleWeight, _mean_nodes, _q_means, k_weight_many
 from .errors import (
     GridTooCoarse,
     GridTooLarge,
@@ -267,8 +267,11 @@ def cauchy_transform(g: GridFunction) -> GridFunction:
     sums of -T_1 and the self ring.
 
     Working memory: three n_r x n_r float arrays at the peak, and two
-    complex grids (the spectra, then the result).  Raises GridTooLarge,
-    before it allocates, above CAUCHY_MAX_RINGS rings.
+    complex grids (the spectra, then the result).  The blocks' work arrays
+    (the floor mask, n_r x n_r booleans, and the scaled spectra columns and
+    their product, n_r x 2 CAUCHY_BLOCK floats each) are allocated once per
+    call.  Raises GridTooLarge, before it allocates, above
+    CAUCHY_MAX_RINGS rings.
     """
     spec = g.spec
     n_r, n = spec.n_radial, spec.n_angular
@@ -286,11 +289,16 @@ def cauchy_transform(g: GridFunction) -> GridFunction:
 
     # row i: z ring r = radii[i]; column j: w ring t = radii[j]
     rho = np.arange(n_r) + 0.5
-    x = np.triu(np.divide.outer(rho, rho), 1)  # r/t where t > r, else 0
+    # the one n_r x n_r mask: the triangle t > r here, the floor test in the
+    # loop; multiplying by it zeroes in place what np.triu would copy
+    mask = np.less.outer(np.arange(n_r), np.arange(n_r))
+    x = np.divide.outer(rho, rho)
+    x *= mask  # r/t where t > r, else 0
     xn, xk = _ratio_powers(x, n)
     del x
     np.subtract(1.0, xn, out=xn)
-    kern = np.triu(np.divide(2.0 * np.pi * dr, xn, out=xn), 1)  # T_0
+    kern = np.divide(2.0 * np.pi * dr, xn, out=xn)
+    kern *= mask  # T_0
     del xn
     floor = 2.0 * np.pi * dr * CAUCHY_FLOOR
     # rho^k and rho^-k for k < K, each twice: the Re and Im columns of a mode
@@ -307,28 +315,35 @@ def cauchy_transform(g: GridFunction) -> GridFunction:
     G = np.fft.fft(vals * phase, axis=1)
     S1 = G * (dr * dt * ((n - 1) / 2.0 - np.arange(n)))  # self ring
     Gf, Sf = G.view(float), S1.view(float)
+    # the blocks' other work arrays, allocated once: the scaled spectra
+    # columns and their product with T_e0
+    scaled = np.empty((n_r, 2 * K))
+    prod = np.empty((n_r, 2 * K))
     for e0 in range(0, n + 1, K):
         if e0:
             kern *= xk  # T_{e0}
-            kern *= kern >= floor
+            kern *= np.greater_equal(kern, floor, out=mask)
         # t > r, powers e0 + k < n: rho^k T_{e0} [rho^-k G], columns ascending in k
         cols = slice(2 * e0, 2 * min(e0 + K, n))
         k2 = cols.stop - cols.start
         if k2:
-            P = kern @ (Gf[:, cols] * down[:, :k2])
+            scale = np.multiply(Gf[:, cols], down[:, :k2], out=scaled[:, :k2])
+            P = np.matmul(kern, scale, out=prod[:, :k2])
             P *= up[:, :k2]
             Sf[:, cols] += P
         # t < r, powers 0 < e0 + k <= n: rho^-k T_{e0}^T [rho^k G], columns
         # n - e0 - k ascending, so descending in k
         lo, hi = (1 if e0 == 0 else 0), min(K, n + 1 - e0)
         cols = slice(2 * (n - e0 - hi + 1), 2 * (n - e0 - lo + 1))
-        P = kern.T @ (Gf[:, cols] * up[:, 2 * lo:2 * hi][:, ::-1])
+        k2 = cols.stop - cols.start
+        scale = np.multiply(Gf[:, cols], up[:, 2 * lo:2 * hi][:, ::-1], out=scaled[:, :k2])
+        P = np.matmul(kern.T, scale, out=prod[:, :k2])
         P *= down[:, 2 * lo:2 * hi][:, ::-1]
         Sf[:, cols] -= P
         if e0 < n <= e0 + K:  # the row sums of T_{n-1}
             k = 2 * (n - 1 - e0)
             s2 += up[:, k] * (kern @ down[:, k])
-    del G, Gf, kern, xk  # the spectra go before the inverse FFT
+    del G, Gf, kern, xk, mask, scaled, prod, scale, P  # the spectra go before the inverse FFT
 
     # u = vals zbar - (S1 - vals S2)/pi with zbar = r e^{-i theta} and
     # S1, S2 carrying the factor e^{-i theta}: the inverse DFT of the shifted
@@ -409,18 +424,34 @@ def weighted_space_norm(
 ) -> float:
     """L^p(dA_alpha) norm of z -> m_q(|f e^{k_Z}|, z, r): the local q-means
     of the weighted modulus, integrated in p-th power against
-    (1-|z|^2)^alpha dA over a polar grid of outer nodes."""
+    (1-|z|^2)^alpha dA over a polar grid of outer nodes.
+
+    Outer ring by outer ring, the local-mean disks D(z, r) of the ring's
+    n_t outer nodes are taken as their Euclidean images (centre C, radius
+    s), and on each, local_mean's 24 x 24 midpoint polar nodes
+    C + rho e^{i t} (local_means' node layout).  |f| is read at the grid
+    node nearest each of them, and k_Z there comes from k_weight_circles,
+    in the frame of each disk's centre: one real product entry and one
+    reciprocal per (point, node) pair.  Its error model: per term a few
+    roundoffs times ((1 + q)/(1 - q))^2, below ((1 + r)/(1 - r))^4 (81 at
+    r = 0.5), plus the u / |1 - conj(z_k) w| of any evaluation at a rounded
+    node; e^k then carries k's absolute error as a relative one.  Working
+    memory is one outer ring at a time: its n_t x 576 nodes, their lookups
+    and values, k_weight_circles' table of 4 doubles per node, 7 doubles
+    per (disk, point) pair and one 256 KB product block, allocated once
+    per call.
+    """
     if not 0.0 < p < math.inf:
         raise ValueError(f"p must be finite and positive, got {p}")
-    modulus = np.abs(f.values)  # |f| at the nodes, looked up by nearest node
-
-    def weighted(z):
-        return modulus[f.nearest(z)] * np.exp(k_weight_many(Z, z))
-
+    _check_q(q)
+    # |f| at the grid nodes, read at the node nearest each local-mean node
+    # through one flat index, a fraction of the cost of a (ring, angle) pair
+    modulus = np.abs(f.values).reshape(-1)
     n_r, n_t = outer_grid
     rmax = f.spec.max_radius
     rr = midpoint_radii(rmax, n_r)
     tt = ring_angles(n_t)
+    local = (24, 24)
     # the m_q disk is (Euclideanly) smallest at the outermost outer node;
     # require the sample grid of f to resolve it
     edge = pseudo_to_euclidean(PseudoDisk(rr[-1], float(r)))
@@ -429,8 +460,16 @@ def weighted_space_norm(
     drho = rmax / n_r
     dth = 2.0 * np.pi / n_t
     total = 0.0
+    crowding = _CircleWeight(Z, n_t, local[0], ring_angles(local[1])) if len(Z) else None
     for ri in rr:
-        # one call of the weighted modulus per outer ring
-        m = local_means(weighted, *euclidean_images(ri * np.exp(1j * tt), r), q, grid=(24, 24))
+        centers, radii = euclidean_images(ri * np.exp(1j * tt), r)
+        nodes, rings = _mean_nodes(centers, radii, local)
+        index, angle = f.nearest(nodes)
+        index *= f.spec.n_angular
+        index += angle
+        vals = modulus.take(index)
+        if crowding is not None:
+            vals *= np.exp(crowding.weight(centers, rings, nodes))
+        m = _q_means(vals, radii, rings, q)
         total += float((m ** p).sum()) * (1.0 - ri ** 2) ** alpha * ri * drho * dth
     return total ** (1.0 / p)

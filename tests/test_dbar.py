@@ -446,13 +446,55 @@ def weighted_space_norm_loop(f, Z, p, q, r, alpha, outer_grid=(24, 32)):
     return total ** (1.0 / p)
 
 
-@pytest.mark.parametrize("q", [2.0, np.inf])
-def test_weighted_space_norm_matches_local_mean_loop(q):
-    f = GridFunction.sample(lambda z: 0.3 + (0.5 - 0.2j) * z ** 2 + z.imag, PolarGridSpec(64, 128, 0.9))
-    Z = PointSequence([0.2, -0.5 + 0.3j, 0.7j, 0.6, -0.1 - 0.4j])
+_INTERIOR = (PolarGridSpec(64, 128, 0.9), [0.2, -0.5 + 0.3j, 0.7j, 0.6, -0.1 - 0.4j])
+# points at |z| = 0.99, among the local-mean disks of a 0.999 grid
+_RIM = (PolarGridSpec(256, 512, 0.999),
+        [0.99, 0.99j, 0.99 * np.exp(2.5j), 0.99 * np.exp(-0.7j), -0.3 + 0.2j, 0.99 * np.exp(2.5j)])
+
+
+@pytest.mark.parametrize("q, spec, points", [
+    (2.0, *_INTERIOR), (np.inf, *_INTERIOR), (2.0, *_RIM), (np.inf, *_RIM),
+], ids=["2.0", "inf", "rim-2.0", "rim-inf"])
+def test_weighted_space_norm_matches_local_mean_loop(q, spec, points):
+    f = GridFunction.sample(lambda z: 0.3 + (0.5 - 0.2j) * z ** 2 + z.imag, spec)
+    Z = PointSequence(points)
     got = weighted_space_norm(f, Z, 2.0, q, r=0.5, alpha=1.0)
     expect = weighted_space_norm_loop(f, Z, 2.0, q, 0.5, 1.0)
     assert got == pytest.approx(expect, rel=1e-12)
+
+
+def test_weighted_space_norm_does_not_call_k_weight_many(monkeypatch):
+    # k_Z comes from k_weight_circles in each disk's frame, never from the
+    # per-pair complex passes
+    import diskinterp.dbar
+    import diskinterp.density
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("k_weight_many called")
+
+    monkeypatch.setattr(diskinterp.density, "k_weight_many", refuse)
+    monkeypatch.setattr(diskinterp.dbar, "k_weight_many", refuse)
+    f = GridFunction.sample(lambda z: 0.3 + z * z, PolarGridSpec(64, 128, 0.9))
+    assert weighted_space_norm(f, PointSequence([0.2, -0.5 + 0.3j]), 2.0, 2.0) > 0.0
+
+
+def test_weighted_space_norm_memory_at_2000_points():
+    # one outer ring at a time: k_weight_circles' rows of 4 doubles, alpha
+    # (complex) and one real temporary per (disk, point) pair, 56 bytes for
+    # each of the n_t = 32 disks of a ring, beside at most 3 MiB that do not
+    # depend on |Z| (the ring's nodes, lookups and values, the table and the
+    # 256 KB product block).  The points lie outside the grid disk, so that
+    # e^k stays finite
+    f = GridFunction.sample(lambda z: 0.3 + z * z, PolarGridSpec(64, 128, 0.9))
+    n = 2000
+    Z = PointSequence(0.995 * np.exp(2j * np.pi * np.arange(n) / n))
+    tracemalloc.start()
+    try:
+        weighted_space_norm(f, Z, 2.0, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 2 ** 20 + 64 * 32 * n
 
 
 @pytest.mark.parametrize("p", [math.inf, -math.inf, math.nan])

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from diskinterp.density import (
     K_WEIGHT_BLOCK,
@@ -10,13 +12,14 @@ from diskinterp.density import (
     estimate_upper_densities,
     k_hat,
     k_weight,
+    k_weight_circles,
     k_weight_many,
     local_mean,
     local_means,
 )
 from diskinterp.errors import EmptyGrid
-from diskinterp.geometry import PseudoDisk, pseudo_to_euclidean
-from diskinterp.grids import GridFunction, PolarGridSpec
+from diskinterp.geometry import PseudoDisk, euclidean_images, pseudo_to_euclidean
+from diskinterp.grids import GridFunction, PolarGridSpec, midpoint_radii, ring_angles
 from diskinterp.schemes import PointSequence
 
 
@@ -67,6 +70,74 @@ def test_k_weight_many_blocks():
     got = k_weight_many(PointSequence(a), zs)
     assert got.shape == zs.shape
     assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
+
+
+_polar = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 2.0 * math.pi))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(_polar, max_size=30),
+    st.lists(st.integers(0, 29), max_size=30),
+    st.lists(_polar, min_size=1, max_size=4),
+    st.floats(0.05, 0.9),
+    st.integers(1, 12),
+    st.integers(3, 26),
+    st.floats(0.0, 1.0),
+)
+@example([(1.0, 0.3), (1.0, 0.3)], [0, 1], [(1.0, 0.3)], 0.9, 12, 26, 1.0)
+@example([], [], [(0.5, 1.0)], 0.5, 5, 7, 0.5)
+def test_k_weight_circles_matches_k_weight_many(points, repeats, centres, r, n_a, n_b, squeeze):
+    # 0-60 points with repeats, |z_k| up to 0.9999 (squeeze pulls some onto
+    # the nodes), on local_mean's circles in psi-disks about centres out to
+    # |c| = 0.999, for odd and even angle counts
+    z = np.array([0.9999 * m * np.exp(1j * t) for m, t in points], dtype=complex)
+    z = np.concatenate([z, z[[i for i in repeats if i < len(z)]]])
+    c = np.array([0.999 * m * np.exp(1j * t) for m, t in centres])
+    C, s = euclidean_images(c, r)
+    seen = []
+    local_means(lambda w: seen.append(w) or np.ones(w.shape), C, s, 2.0, grid=(n_a, n_b))
+    (nodes,) = seen
+    rings = midpoint_radii(s, n_a)
+    # the nodes are local_mean's midpoint polar nodes, bit for bit
+    assert np.array_equal(nodes, C[:, None, None] + rings[:, :, None] * np.exp(1j * ring_angles(n_b)))
+    if len(z):
+        near = nodes.reshape(-1)[np.arange(len(z)) % nodes.size]
+        z = np.where(np.arange(len(z)) % 2, z, (1.0 - squeeze) * z + squeeze * near)
+    got = k_weight_circles(PointSequence(z), C, rings, ring_angles(n_b))
+    want = k_weight_many(PointSequence(z), nodes)
+    assert got.shape == nodes.shape
+    if not len(z):
+        assert not got.any()
+        return
+    # the error model of k_weight_circles: per term t_k a few roundoffs times
+    # kappa = ((1 + q)/(1 - q))^2, q = |z_k| rho / |1 - conj(z_k) C| below
+    # 2r/(1 + r^2), and the 1/|1 - conj(z_k) w| that any evaluation at a
+    # rounded node has; 32 roundoffs of each, summed over the points
+    u = np.finfo(float).eps / 2
+    d = np.abs(1.0 - np.conj(z) * nodes[..., None])
+    t = (1.0 - np.abs(z) ** 2) ** 2 / d ** 2
+    q = np.abs(z) * rings[:, :, None, None] / np.abs(1.0 - np.conj(z) * C[:, None, None, None])
+    assert q.max() < 2.0 * r / (1.0 + r * r)
+    kappa = ((1.0 + q) / (1.0 - q)) ** 2
+    bound = 32.0 * u * 0.5 * np.abs(nodes) ** 2 * (t * (kappa + 1.0 / d)).sum(axis=-1)
+    assert (np.abs(got - want) <= bound).all()
+
+
+def test_k_weight_circles_blocks():
+    # one disk of 500 points is more than one product block, so the points
+    # come in blocks; 5 points take many disks a block
+    rng = np.random.default_rng(11)
+    c = 0.9 * np.sqrt(rng.uniform(size=9)) * np.exp(2j * np.pi * rng.uniform(size=9))
+    C, s = euclidean_images(c, 0.5)
+    rings = midpoint_radii(s, 24)
+    nodes = C[:, None, None] + rings[:, :, None] * np.exp(1j * ring_angles(24))
+    assert 2 * 5 * 576 <= 2 * K_WEIGHT_BLOCK < 500 * 576
+    for n in (5, 500):
+        z = 0.95 * np.sqrt(rng.uniform(size=n)) * np.exp(2j * np.pi * rng.uniform(size=n))
+        got = k_weight_circles(PointSequence(z), C, rings, ring_angles(24))
+        want = k_weight_many(PointSequence(z), nodes)
+        assert np.abs(got - want).max() <= 1e-14 * want.max()
 
 
 def test_k_hat_example():

@@ -420,6 +420,22 @@ def test_grid_as_callable_nearest_node():
     assert abs(complex(fun(np.array(z))) - z) < 0.05
 
 
+@pytest.mark.parametrize("n_angular", [64, 33])
+def test_grid_nearest_indices(n_angular):
+    # the ring and angle of the nearest node, rings clamped at the rim and
+    # angles taken mod n_angular (a power of two or not), for points on every
+    # side of the origin and beyond the grid
+    spec = PolarGridSpec(20, n_angular, 0.9)
+    g = GridFunction.sample(lambda z: z, spec)
+    rng = np.random.default_rng(4)
+    z = rng.uniform(-1.0, 1.0, (30, 7)) + 1j * rng.uniform(-1.0, 1.0, (30, 7))
+    i, j = g.nearest(z)
+    dr, dt = 0.9 / 20, 2.0 * np.pi / n_angular
+    assert np.array_equal(i, np.clip(np.round(np.abs(z) / dr - 0.5).astype(int), 0, 19))
+    assert np.array_equal(j, np.mod(np.round(np.angle(z) / dt).astype(int), n_angular))
+    assert (j >= 0).all() and (j < n_angular).all()
+
+
 def test_grid_to_table_format():
     spec = PolarGridSpec(16, 16, 0.5)
     g = GridFunction.sample(lambda z: np.ones_like(z), spec)
