@@ -36,13 +36,15 @@ def k_weight(Z: PointSequence, zeta) -> float:
 # cache with the block's other temporaries.  Measured over 2^12..2^16 at 5,
 # 50 and 500 points, 2^14 was fastest; 2^16 (a 1 MB product) took 1.3-1.7x
 # as long at 50 and 500 points, and 2^12 lost to the per-block overhead.
-# k_weight_circles holds one double per pair, so its blocks of at most
-# 2 K_WEIGHT_BLOCK pairs fill the same 256 KB.  Measured on the 24 outer
-# rings of weighted_space_norm's default grid (32 disks of 576 nodes each,
-# best of 5, one BLAS thread, 2-core Xeon), blocks of 2^12, 2^13, 2^14 and
-# 2^15 pairs took 10.4, 8.4, 7.8 and 7.2 ms at 5 points, 59.7, 44.0, 35.3
-# and 33.8 ms at 50 and 545, 387, 313 and 284 ms at 500: the largest block
-# within the budget was the fastest at each size
+# k_weight_circles' blocks hold the powers of at most 2 K_WEIGHT_BLOCK
+# (disk, point) pairs, 25 complex numbers each on local_mean's 24 x 24
+# grid: 512 KB of powers, and about 1.3 MB with the block's W.  Measured on
+# the 24 outer rings of weighted_space_norm's default grid (32 disks of 576
+# nodes each, best of 7, one BLAS thread, 2-core x86), budgets of 2^13,
+# 2^14, 2^15 and 2^16 powers took 5.3, 5.1, 5.1 and 5.2 ms at 5 points,
+# 20.7, 18.6, 18.4 and 17.7 ms at 50 and 178, 148, 137 and 138 ms at 500:
+# 2^15 (2 K_WEIGHT_BLOCK) was within noise of the best at each size, and
+# smaller budgets lost at 500 points
 K_WEIGHT_BLOCK = 2 ** 14
 
 
@@ -79,124 +81,158 @@ def k_weight_many(Z: PointSequence, zetas: np.ndarray) -> np.ndarray:
     return 0.5 * np.abs(zetas) ** 2 * sums.reshape(zetas.shape)
 
 
-def k_weight_circles(Z: PointSequence, centers, radii, angles) -> np.ndarray:
-    """k_weight at the nodes w = centers[j] + radii[j, a] e^{i angles[b]} on
-    circles about each centre: centers has shape (m,), radii (m, n_a), and
-    the result (m, n_a, len(angles)).  With local_mean's midpoint radii and
-    ring angles these are the nodes of its rule, bit for bit.
+def k_weight_circles(Z: PointSequence, centers, radii, grid: tuple[int, int]) -> np.ndarray:
+    """k_weight at the nodes of local_means' rule on the Euclidean disks with
+    the given centres and radii (_mean_nodes(centers, radii, grid), bit for
+    bit), shape (m, grid[0], grid[1]).
 
-    In the frame of the centre C, with alpha = 1 - conj(z_k) C and
-    beta = conj(alpha) conj(z_k), the denominator is the trigonometric form
+    Take a disk with centre C and radius s.  Its nodes are
+    w_ab = C + sigma_a s omega^b, with sigma_a = (a + 1/2)/n_a,
+    omega = e^{2 pi i/N} and N = grid[1].  With alpha_k = 1 - conj(z_k) C and
+    x_k = s conj(z_k)/alpha_k, 1 - conj(z_k) w_ab = alpha_k (1 - y omega^b),
+    y = sigma_a x_k.  1/|1 - y e^{it}|^2 is a Poisson kernel, and its
+    Fourier series sampled at the N angles folds into N terms, the factor
+    1/(1 - y^N) summing the aliases of each power (the trapezoidal rule's
+    aliasing, Trefethen and Weideman, SIAM Review 56, 2014):
 
-        |1 - conj(z_k) w|^2 = |alpha|^2 + |z_k|^2 rho^2
-                              - 2 Re(beta) rho cos t + 2 Im(beta) rho sin t,
+        S_ab = sum_k m_k / |1 - conj(z_k) w_ab|^2
+             = Re B_a0 + Re B_aN + 2 sum_{j=1}^{N-1} Re(B_aj omega^{bj}),
+        B_aj = sigma_a^j sum_k W_ak x_k^j,
+        W_ak = m_k / (|alpha_k|^2 (1 - sigma_a^2 |x_k|^2)(1 - sigma_a^N x_k^N)),
 
-    a product of the row (|alpha|^2, |z_k|^2, -2 Re beta, 2 Im beta) of
-    point k and disk j with disk j's table of columns
-    (1, rho^2, rho cos t, rho sin t), one column per node.  So each
-    (point, node) pair costs one entry of a real matrix product and one
-    reciprocal, and the mass-weighted sum over the points is one more
-    product.  rho cos t and rho sin t are the parts of the node's offset
-    from C, and |w|^2 comes from the node's parts C + rho e^{it}.
+    with m_k = (1 - |z_k|^2)^2.  So a disk costs the powers x_k^0..x_k^N of
+    each point (by doubling), its n_a x n matrix W (the only divisions), one
+    complex product of W with those powers, the scaling by sigma_a^j and one
+    real product with a fixed 2(N + 1) x N table of 2 cos and -2 sin of
+    2 pi bj/N.  k is |w|^2 / 2 S, |w|^2 from the parts of the node.
 
-    Error model (u = 2^-53, the unit roundoff): the form's four terms have
-    absolute sum at most |alpha|^2 (1 + q)^2 and its value is at least
-    |alpha|^2 (1 - q)^2, q = |z_k| rho / |alpha|, which is below 1 when the
-    circle lies in the unit disk.  So rounding the form costs each term
-    t_k = (1 - |z_k|^2)^2 / |1 - conj(z_k) w|^2 a relative error of a few u
-    times kappa = ((1 + q)/(1 - q))^2.  On a circle of local_mean's rule in
-    a pseudohyperbolic disk D(c, r), q < 2r / (1 + r^2) for every |c| < 1,
-    so (1 + q)/(1 - q) < ((1 + r)/(1 - r))^2 and kappa < ((1 + r)/(1 - r))^4,
-    81 at r = 0.5.  Beside it each term carries a few u / |1 - conj(z_k) w|,
-    the error of any evaluation at a rounded node (k_weight_many's too).
-    The tests hold the difference from k_weight_many on the same nodes to
+    Error model (u = 2^-53, the unit roundoff): each circle lies in its
+    disk, which lies in the unit disk, so |x_k| < 1 and q = |y| < 1, and no
+    power can overflow.  A point's series terms, the aliases included, have
+    absolute sum at most ((1 + q)/(1 - q))^2 = kappa times the least value
+    of their sum on the circle, so each term t_k = m_k / |1 - conj(z_k) w|^2
+    carries a relative error of a few u times kappa.  On a circle of a
+    pseudohyperbolic disk D(c, r), q < 2r / (1 + r^2) for every |c| < 1,
+    and kappa < ((1 + r)/(1 - r))^4, 81 at r = 0.5.  Beside it each term
+    carries a few u / |1 - conj(z_k) w|, the error of any evaluation at a
+    rounded node (k_weight_many's too).  The tests hold the difference
+    from k_weight_many on the same nodes to
     32 u (|w|^2 / 2) sum_k t_k (kappa_k + 1 / |1 - conj(z_k) w|).
 
-    Working memory: the nodes and the result, a table of 4 doubles per
-    node, 7 doubles per (disk, point) pair (its row, alpha and one real
-    temporary) and one product block of at most 2 K_WEIGHT_BLOCK pairs
-    (256 KB of doubles): whole disks, or blocks of points when one disk
-    alone has more.  Each work array is allocated once per call.
+    Working memory: the nodes, the result, one more array of its size and
+    B, N + 1 complex numbers a circle; and the work arrays of a block: for
+    each of its (disk, point) pairs, N + 1 powers and the n_a entries of W
+    (complex), n_a more doubles and five numbers.  A block holds at most
+    2 K_WEIGHT_BLOCK pairs' powers, 512 KB: whole disks, or blocks of points
+    summed into B when one disk alone has more.  At n_a = N = 24 its arrays
+    take at most 1.3 MB, whatever |Z| is.  Each work array is allocated
+    once per call.
     """
-    center = np.asarray(centers, dtype=complex)
-    rho = np.asarray(radii, dtype=float)
+    nodes = _mean_nodes(centers, radii, grid)[0]
     if len(Z) == 0:
-        return np.zeros(rho.shape + np.shape(angles))
-    nodes = _circle_nodes(center, rho, angles)
-    return _CircleWeight(Z, len(rho), rho.shape[1], angles).weight(center, rho, nodes)
+        return np.zeros(nodes.shape)
+    return _CircleSeries(Z, len(nodes), grid)(centers, radii, nodes)
 
 
-class _CircleWeight:
-    """k_weight_circles for Z at up to m disks of n_a circles each, at the
-    given angles, with every work array allocated once: weight() serves
-    many sets of disks (one outer ring of weighted_space_norm each), and
-    its result is a view of one array, valid until its next call.  Z must
-    not be empty."""
+class _CircleSeries:
+    """k_weight_circles for Z at sets of up to m disks on one grid, with
+    every work array allocated once: a call serves one set of disks (one
+    outer ring of weighted_space_norm each), given its centres, radii and
+    nodes, and its result is a view of one array, valid until the next
+    call.  Z must not be empty.  Allocated afresh for each ring, the
+    arrays cost a 50-point weighted_space_norm call about 8,800 minor page
+    faults, and a third of its time."""
 
-    def __init__(self, Z: PointSequence, m: int, n_a: int, angles):
-        a = Z.array
-        n = len(a)
-        self.a = a
-        self.mass = (1.0 - np.abs(a) ** 2) ** 2
-        self.phase = np.exp(1j * np.asarray(angles, dtype=float))
-        n_b = len(self.phase)
-        nodes = n_a * n_b
-        # the table of disk j, rows (1, rho^2, rho cos t, rho sin t) by
-        # (circle, angle), and the rows (|alpha|^2, |z_k|^2, -2 Re beta,
-        # 2 Im beta) of its (disk, point) pairs
-        self.table = np.empty((m, 4, n_a, n_b))
-        self.table[:, 0] = 1.0
-        self.rows = np.empty((m, n, 4))
-        self.rows[:, :, 1] = a.real ** 2 + a.imag ** 2
-        self.alpha = np.empty((m, n), dtype=complex)
-        self.square = np.empty((m, n))
-        # product blocks of whole disks, or of points when one disk alone
-        # has more than the 256 KB of 2 K_WEIGHT_BLOCK doubles
+    def __init__(self, Z: PointSequence, m: int, grid: tuple[int, int]):
+        n_a, n_b = grid
+        self.zbar = Z.array.conj()
+        n = len(self.zbar)
+        self.mass = (1.0 - np.abs(self.zbar) ** 2) ** 2
+        sigma = (np.arange(n_a) + 0.5) / n_a
+        self.sigma_sq, self.sigma_n = sigma[:, None] ** 2, sigma[:, None] ** n_b
+        # sigma_a^j for each part of B_aj
+        self.scale = np.repeat(sigma[:, None] ** np.arange(n_b + 1), 2, axis=1)
+        # rows Re B_j and Im B_j, columns b: 2 cos and -2 sin of 2 pi bj/N,
+        # and 1 and 0 for j = 0 and N
+        t = (2.0 * np.pi / n_b) * (np.multiply.outer(np.arange(n_b + 1), np.arange(n_b)) % n_b)
+        table = np.empty((n_b + 1, 2, n_b))
+        table[:, 0], table[:, 1] = 2.0 * np.cos(t), -2.0 * np.sin(t)
+        table[[0, n_b], 0], table[[0, n_b], 1] = 1.0, 0.0
+        self.table = table.reshape(-1, n_b)
+        # blocks of whole disks, or of points when one disk alone has more
+        # than the 2 K_WEIGHT_BLOCK powers of a block
         budget = 2 * K_WEIGHT_BLOCK
-        self.disks = max(1, budget // (n * nodes))
-        self.points = min(n, max(1, budget // nodes))
-        self.work = np.empty(min(self.disks, m) * self.points * nodes)
-        self.sums = np.empty((m, nodes))
-        self.part = np.empty(nodes)
+        self.disks = max(1, min(m, budget // (n * (n_b + 1))))
+        self.points = min(n, max(1, budget // (n_b + 1)))
+        pairs = self.disks * self.points
+        self.pair = np.empty((3, pairs), dtype=complex)  # alpha, x, x^p
+        self.reals = np.empty((2, pairs))  # m_k / |alpha|^2, |x|^2
+        self.powers = np.empty((n_b + 1) * pairs, dtype=complex)
+        self.W = np.empty(n_a * pairs, dtype=complex)
+        self.factor = np.empty(n_a * pairs)
+        self.B = np.empty((m, n_a, n_b + 1), dtype=complex)
+        self.part = np.empty((n_a, n_b + 1), dtype=complex)
         self.out = np.empty((m, n_a, n_b))
+        self.sums = np.empty((m, n_a, n_b))
 
-    def weight(self, centers, rho, nodes) -> np.ndarray:
-        """k_weight at nodes[j, a, b] = centers[j] + rho[j, a] e^{i t_b}, for
-        the first len(centers) disks."""
-        m = len(centers)
-        a, n = self.a, len(self.a)
-        table = self.table[:m]
-        np.multiply(rho[:, :, None], rho[:, :, None], out=table[:, 1])
-        np.multiply(rho[:, :, None], self.phase.real, out=table[:, 2])
-        np.multiply(rho[:, :, None], self.phase.imag, out=table[:, 3])
-        table = table.reshape(m, 4, -1)
+    def __call__(self, centers, radii, nodes) -> np.ndarray:
+        m, n_a, n_b = nodes.shape
+        centers = np.asarray(centers, dtype=complex)
+        radii = np.asarray(radii, dtype=float)
+        zbar, n = self.zbar, len(self.zbar)
+        B = self.B[:m]
+        for j in range(0, m, self.disks):
+            jb = min(self.disks, m - j)
+            for k in range(0, n, self.points):
+                kb = min(self.points, n - k)
+                P = jb * kb
+                alpha, x, xp = (v[:P].reshape(jb, kb) for v in self.pair)
+                c, x2 = (v[:P].reshape(jb, kb) for v in self.reals)
+                np.multiply.outer(centers[j:j + jb], zbar[k:k + kb], out=alpha)
+                np.subtract(1.0, alpha, out=alpha)
+                np.multiply.outer(radii[j:j + jb], zbar[k:k + kb], out=x)
+                x /= alpha
+                # c = m_k / |alpha_k|^2 and x2 = |x_k|^2
+                np.square(alpha.real, out=c)
+                c += np.square(alpha.imag, out=x2)
+                np.divide(self.mass[k:k + kb], c, out=c)
+                np.square(x.real, out=x2)
+                x2 += np.square(x.imag)
+                # x^0..x^N by doubling: x^(p..2p-1) = x^(0..p-1) x^p
+                V = self.powers[:(n_b + 1) * P].reshape(n_b + 1, P)
+                V[0] = 1.0
+                xp[...] = x
+                p = 1
+                while p <= n_b:
+                    hi = min(2 * p, n_b + 1)
+                    np.multiply(V[:hi - p], xp.reshape(P), out=V[p:hi])
+                    np.square(xp, out=xp)
+                    p *= 2
+                # W = m_k / |alpha_k|^2 / (1 - sigma^2 |x|^2) / (1 - sigma^N x^N)
+                f = self.factor[:n_a * P].reshape(n_a, P)
+                np.multiply(self.sigma_sq, x2.reshape(P), out=f)
+                np.subtract(1.0, f, out=f)
+                np.divide(c.reshape(P), f, out=f)
+                w = self.W[:n_a * P].reshape(n_a, P)
+                np.multiply(self.sigma_n, V[n_b], out=w)
+                np.subtract(1.0, w, out=w)
+                np.divide(f, w, out=w)
+                # B_aj (before sigma_a^j) = sum_k W_ak x_k^j, disk by disk
+                w = w.reshape(n_a, jb, kb).transpose(1, 0, 2)
+                v = V.reshape(n_b + 1, jb, kb).transpose(1, 2, 0)
+                if k == 0:
+                    np.matmul(w, v, out=B[j:j + jb])
+                else:
+                    B[j] += np.matmul(w[0], v[0], out=self.part)
+        Bf = B.view(float)
+        Bf *= self.scale
         out, sums = self.out[:m], self.sums[:m]
         # |w|^2 / 2 from the parts of the nodes
-        w = nodes.view(float)
-        np.multiply(w[..., ::2], w[..., ::2], out=out)
-        out += np.multiply(w[..., 1::2], w[..., 1::2], out=sums.reshape(out.shape))
+        np.square(nodes.real, out=out)
+        out += np.square(nodes.imag, out=sums)
         out *= 0.5
-        alpha = np.multiply.outer(centers, a.conj(), out=self.alpha[:m])
-        np.subtract(1.0, alpha, out=alpha)
-        rows = self.rows[:m]
-        np.square(alpha.real, out=rows[:, :, 0])
-        rows[:, :, 0] += np.square(alpha.imag, out=self.square[:m])
-        beta = np.multiply(alpha, a, out=alpha)  # conj(beta)
-        np.multiply(beta.real, -2.0, out=rows[:, :, 2])
-        np.multiply(beta.imag, -2.0, out=rows[:, :, 3])
-        disks, points, mass = self.disks, self.points, self.mass
-        for j in range(0, m, disks):
-            jb = min(disks, m - j)
-            for k in range(0, n, points):
-                kb = min(points, n - k)
-                prod = self.work[: jb * kb * table.shape[2]].reshape(jb, kb, -1)
-                np.matmul(rows[j:j + jb, k:k + kb], table[j:j + jb], out=prod)
-                np.reciprocal(prod, out=prod)
-                if k == 0:
-                    np.matmul(mass[:kb], prod, out=sums[j:j + jb])
-                else:
-                    sums[j] += np.matmul(mass[k:k + kb], prod[0], out=self.part)
-        out *= sums.reshape(out.shape)
+        np.matmul(Bf.reshape(m * n_a, len(self.table)), self.table, out=sums.reshape(m * n_a, n_b))
+        out *= sums
         return out
 
 
@@ -334,23 +370,18 @@ def _mean_nodes(centers, radii, grid: tuple[int, int]):
     """Nodes of local_mean's midpoint polar rule on each Euclidean disk:
     w[j, a, b] = centers[j] + rings[j, a] e^{i t_b}, rings[j] the grid[0]
     midpoint radii of disk j and t_b the grid[1] angles of ring_angles.
-    Returns (w, rings), shapes (m, n_r, n_t) and (m, n_r)."""
-    rings = midpoint_radii(np.asarray(radii, dtype=float), grid[0])
-    return _circle_nodes(np.asarray(centers, dtype=complex), rings, ring_angles(grid[1])), rings
-
-
-def _circle_nodes(center, rho, angles) -> np.ndarray:
-    """center[j] + rho[j, a] e^{i angles[b]}, shape (m, n_a, len(angles)),
-    each part the one rounded product of rho with the part of e^{i t},
+    Returns (w, rings), shapes (m, n_r, n_t) and (m, n_r).  Each part of w
+    is the one rounded product of the radius with the part of e^{i t},
     then the one rounded sum with the part of the centre: the numbers of
-    the complex broadcast center + rho e^{i t}, without its complex
+    the complex broadcast centers + rings e^{i t}, without its complex
     products."""
-    phase = np.exp(1j * np.asarray(angles, dtype=float))
-    w = np.empty(rho.shape + phase.shape, dtype=complex)
-    np.multiply(rho[:, :, None, None], phase.view(float).reshape(-1, 2),
+    rings = midpoint_radii(np.asarray(radii, dtype=float), grid[0])
+    phase = np.exp(1j * ring_angles(grid[1]))
+    w = np.empty(rings.shape + phase.shape, dtype=complex)
+    np.multiply(rings[:, :, None, None], phase.view(float).reshape(-1, 2),
                 out=w.view(float).reshape(w.shape + (2,)))
-    w.reshape(len(rho), -1)[...] += center[:, None]
-    return w
+    w += np.asarray(centers, dtype=complex)[:, None, None]
+    return w, rings
 
 
 def _q_means(vals, radii, rings, q) -> np.ndarray:

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from diskinterp.density import k_weight_many, local_mean
 from diskinterp.errors import (
     GridTooCoarse,
     GridTooLarge,
+    NumericalError,
     PositiveLaplacian,
     QuadratureDivergence,
     StencilOutOfDomain,
@@ -464,8 +466,8 @@ def test_weighted_space_norm_matches_local_mean_loop(q, spec, points):
 
 
 def test_weighted_space_norm_does_not_call_k_weight_many(monkeypatch):
-    # k_Z comes from k_weight_circles in each disk's frame, never from the
-    # per-pair complex passes
+    # k_Z comes from k_weight_circles' series on each disk's circles, never
+    # from k_weight_many's per-pair passes
     import diskinterp.dbar
     import diskinterp.density
 
@@ -479,12 +481,11 @@ def test_weighted_space_norm_does_not_call_k_weight_many(monkeypatch):
 
 
 def test_weighted_space_norm_memory_at_2000_points():
-    # one outer ring at a time: k_weight_circles' rows of 4 doubles, alpha
-    # (complex) and one real temporary per (disk, point) pair, 56 bytes for
-    # each of the n_t = 32 disks of a ring, beside at most 3 MiB that do not
-    # depend on |Z| (the ring's nodes, lookups and values, the table and the
-    # 256 KB product block).  The points lie outside the grid disk, so that
-    # e^k stays finite
+    # one outer ring at a time: the ring's nodes, lookups and values and
+    # k_weight_circles' work arrays, whose blocks of at most 1.3 MB do not
+    # grow with |Z|; the bound allows 3 MiB and 64 bytes for each (disk,
+    # point) pair of the n_t = 32 disks of a ring.  The points lie outside
+    # the grid disk, so that e^k stays finite
     f = GridFunction.sample(lambda z: 0.3 + z * z, PolarGridSpec(64, 128, 0.9))
     n = 2000
     Z = PointSequence(0.995 * np.exp(2j * np.pi * np.arange(n) / n))
@@ -495,6 +496,22 @@ def test_weighted_space_norm_memory_at_2000_points():
     finally:
         tracemalloc.stop()
     assert peak <= 3 * 2 ** 20 + 64 * 32 * n
+
+
+def test_weighted_space_norm_overflow_is_a_numerical_failure():
+    # 8,000 points on |z| = 0.89: on the last of 4 outer rings k_Z reaches
+    # 441, and the square of e^441 overflows.  4,000 points give a finite
+    # 3.6e94.  No numpy warning escapes
+    f = GridFunction.sample(lambda z: 0.3 + z * z, PolarGridSpec(64, 128, 0.9))
+
+    def circle(n):
+        return PointSequence(0.89 * np.exp(2j * np.pi * np.arange(n) / n))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isfinite(weighted_space_norm(f, circle(4000), 2.0, 2.0, outer_grid=(4, 4)))
+        with pytest.raises(NumericalError, match="outer ring 3 of 4"):
+            weighted_space_norm(f, circle(8000), 2.0, 2.0, outer_grid=(4, 4))
 
 
 @pytest.mark.parametrize("p", [math.inf, -math.inf, math.nan])

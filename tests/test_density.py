@@ -80,17 +80,20 @@ _polar = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 2.0 * math.pi))
     st.lists(_polar, max_size=30),
     st.lists(st.integers(0, 29), max_size=30),
     st.lists(_polar, min_size=1, max_size=4),
-    st.floats(0.05, 0.9),
+    st.floats(0.05, 0.95),
     st.integers(1, 12),
     st.integers(3, 26),
     st.floats(0.0, 1.0),
 )
 @example([(1.0, 0.3), (1.0, 0.3)], [0, 1], [(1.0, 0.3)], 0.9, 12, 26, 1.0)
 @example([], [], [(0.5, 1.0)], 0.5, 5, 7, 0.5)
+# three angles on one circle about a centre at |c| = 0.95, points by the
+# disk: sigma^N |x|^N is far above 1e-3, so the aliases of each power count
+@example([(0.97, 2.0), (1.0, 2.1), (0.9, 1.9)], [], [(0.95, 2.0)], 0.95, 1, 3, 0.0)
 def test_k_weight_circles_matches_k_weight_many(points, repeats, centres, r, n_a, n_b, squeeze):
     # 0-60 points with repeats, |z_k| up to 0.9999 (squeeze pulls some onto
-    # the nodes), on local_mean's circles in psi-disks about centres out to
-    # |c| = 0.999, for odd and even angle counts
+    # the nodes), on local_mean's circles in psi-disks of radius up to 0.95
+    # about centres out to |c| = 0.999, for odd and even angle counts
     z = np.array([0.9999 * m * np.exp(1j * t) for m, t in points], dtype=complex)
     z = np.concatenate([z, z[[i for i in repeats if i < len(z)]]])
     c = np.array([0.999 * m * np.exp(1j * t) for m, t in centres])
@@ -104,7 +107,7 @@ def test_k_weight_circles_matches_k_weight_many(points, repeats, centres, r, n_a
     if len(z):
         near = nodes.reshape(-1)[np.arange(len(z)) % nodes.size]
         z = np.where(np.arange(len(z)) % 2, z, (1.0 - squeeze) * z + squeeze * near)
-    got = k_weight_circles(PointSequence(z), C, rings, ring_angles(n_b))
+    got = k_weight_circles(PointSequence(z), C, s, (n_a, n_b))
     want = k_weight_many(PointSequence(z), nodes)
     assert got.shape == nodes.shape
     if not len(z):
@@ -125,19 +128,22 @@ def test_k_weight_circles_matches_k_weight_many(points, repeats, centres, r, n_a
 
 
 def test_k_weight_circles_blocks():
-    # one disk of 500 points is more than one product block, so the points
-    # come in blocks; 5 points take many disks a block
+    # 5 points take many disks a block; one disk of 500 points fills more
+    # than half a block, and 2,000 points are more than one disk's block, so
+    # their products are summed over blocks of points
     rng = np.random.default_rng(11)
     c = 0.9 * np.sqrt(rng.uniform(size=9)) * np.exp(2j * np.pi * rng.uniform(size=9))
     C, s = euclidean_images(c, 0.5)
-    rings = midpoint_radii(s, 24)
-    nodes = C[:, None, None] + rings[:, :, None] * np.exp(1j * ring_angles(24))
-    assert 2 * 5 * 576 <= 2 * K_WEIGHT_BLOCK < 500 * 576
-    for n in (5, 500):
+    nodes = C[:, None, None] + midpoint_radii(s, 24)[:, :, None] * np.exp(1j * ring_angles(24))
+    assert 2 * 5 * 25 <= 2 * K_WEIGHT_BLOCK < 2000 * 25
+    for n in (5, 500, 2000):
         z = 0.95 * np.sqrt(rng.uniform(size=n)) * np.exp(2j * np.pi * rng.uniform(size=n))
-        got = k_weight_circles(PointSequence(z), C, rings, ring_angles(24))
+        got = k_weight_circles(PointSequence(z), C, s, (24, 24))
         want = k_weight_many(PointSequence(z), nodes)
         assert np.abs(got - want).max() <= 1e-14 * want.max()
+    # no disks: no nodes and no values
+    assert k_weight_circles(PointSequence(z), [], [], (24, 24)).shape == (0, 24, 24)
+    assert local_means(np.abs, [], [], 2.0, (24, 24)).shape == (0,)
 
 
 def test_k_hat_example():
